@@ -89,19 +89,31 @@ fuzz:
 	go test -fuzz=FuzzAssemble -fuzztime=$(FUZZTIME) ./internal/asm/
 	go test -fuzz=FuzzSnapshotDecode -fuzztime=$(FUZZTIME) -fuzzminimizetime=1x ./internal/snapshot/
 
-# Perf-regression gate: run the hot-loop and fast-forward benchmarks and
-# compare against the checked-in baseline with cmd/benchdiff (a benchstat
-# stand-in; no external tools). Fails on a >10% ns/op or allocs/op regression
-# of any watched benchmark. Regenerate the baseline with bench-baseline after
-# an intentional perf change — on the same machine, so deltas mean something.
-# Also refreshes BENCH_ffwd.json, the ffwd-on/off wall-time comparison per
-# figure section plus the loop-heavy loopmark sweep.
-BENCH_RE    = ^(BenchmarkSimulatorSpeed|BenchmarkFastForward|BenchmarkFlightRecorder)$$
-BENCH_WATCH = BenchmarkSimulatorSpeed,BenchmarkFastForward/on,BenchmarkFastForward/off,BenchmarkFlightRecorder/on,BenchmarkFlightRecorder/off
+# Perf-regression gate: run the hot-loop, per-kernel and fast-forward
+# benchmarks and compare against the checked-in baseline with cmd/benchdiff
+# (a benchstat stand-in; no external tools). Fails on a >10% ns/op or
+# allocs/op regression of any watched benchmark. BenchmarkKernel covers the
+# eight paper kernels at IQ=32 and IQ=256 with reuse on. Regenerate the
+# baseline with bench-baseline after an intentional perf change — on the
+# same machine, so deltas mean something.
+# Also rewrites BENCH_simcore.json (the Figure 5 sweep's simulated cycles,
+# ns/cycle and allocs/cycle) and diffs it against the copy it replaces
+# (benchdiff -json gates ns_per_cycle and allocs_per_cycle), and refreshes
+# BENCH_ffwd.json, the ffwd-on/off wall-time comparison per figure section
+# plus the loopmark sweep.
+BENCH_RE    = ^(BenchmarkSimulatorSpeed|BenchmarkKernel|BenchmarkFastForward|BenchmarkFlightRecorder)$$
+BENCH_WATCH = BenchmarkSimulatorSpeed,BenchmarkFastForward/on,BenchmarkFastForward/off,BenchmarkFlightRecorder/on,BenchmarkFlightRecorder/off,\
+	BenchmarkKernel/adi/iq32,BenchmarkKernel/adi/iq256,BenchmarkKernel/aps/iq32,BenchmarkKernel/aps/iq256,\
+	BenchmarkKernel/btrix/iq32,BenchmarkKernel/btrix/iq256,BenchmarkKernel/eflux/iq32,BenchmarkKernel/eflux/iq256,\
+	BenchmarkKernel/tomcat/iq32,BenchmarkKernel/tomcat/iq256,BenchmarkKernel/tsf/iq32,BenchmarkKernel/tsf/iq256,\
+	BenchmarkKernel/vpenta/iq32,BenchmarkKernel/vpenta/iq256,BenchmarkKernel/wss/iq32,BenchmarkKernel/wss/iq256
 bench:
 	@mkdir -p bench
 	go test -run '^$$' -bench '$(BENCH_RE)' -benchmem -count 3 . | tee bench/latest.txt
 	go run ./cmd/benchdiff -watch '$(BENCH_WATCH)' bench/baseline.txt bench/latest.txt
+	cp BENCH_simcore.json bench/simcore-previous.json
+	go run ./cmd/reusebench -figure 5 -benchjson BENCH_simcore.json -progress=false > /dev/null
+	go run ./cmd/benchdiff -json bench/simcore-previous.json BENCH_simcore.json
 	go run ./cmd/reusebench -ffwdjson BENCH_ffwd.json -sizes 32,64 -progress=false
 
 bench-baseline:

@@ -9,15 +9,18 @@
 package reuseiq
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
 	"reuseiq/internal/asm"
+	"reuseiq/internal/compiler"
 	"reuseiq/internal/experiments"
 	"reuseiq/internal/ffwd"
 	"reuseiq/internal/flightrec"
 	"reuseiq/internal/pipeline"
 	"reuseiq/internal/power"
+	"reuseiq/internal/workloads"
 )
 
 var (
@@ -158,6 +161,37 @@ loop:	add  $r2, $r2, $r3
 		cycles += m.C.Cycles
 	}
 	b.ReportMetric(float64(cycles)/float64(b.N), "cycles/run")
+}
+
+// BenchmarkKernel measures simulation speed on each paper kernel at the
+// smallest and largest issue-queue sizes of the Figure 5-8 sweep, with the
+// reuse mechanism on (the report's configuration). ns/cycle is host time per
+// simulated cycle; the IQ=256 cells are where the load/store queue and the
+// select stage dominate, the IQ=32 cells where the front end and dispatch do.
+func BenchmarkKernel(b *testing.B) {
+	for _, k := range workloads.All() {
+		p, _, err := compiler.Compile(k.Prog)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, iq := range []int{32, 256} {
+			b.Run(fmt.Sprintf("%s/iq%d", k.Name, iq), func(b *testing.B) {
+				cfg := pipeline.DefaultConfig().WithIQSize(iq)
+				b.ReportAllocs()
+				b.ResetTimer()
+				var cycles uint64
+				for i := 0; i < b.N; i++ {
+					m := pipeline.New(cfg, p)
+					if err := m.Run(); err != nil {
+						b.Fatal(err)
+					}
+					cycles += m.C.Cycles
+					m.Release()
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(cycles), "ns/cycle")
+			})
+		}
+	}
 }
 
 // BenchmarkFastForward measures the analytic fast-forward engine on its

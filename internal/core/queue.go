@@ -27,6 +27,13 @@
 // the select logic (ReadySlots) never rescans the whole queue. The hardware
 // CAM's energy is still charged through WakeupBroadcasts/IssueCycleScans in
 // the pipeline; the index only removes the *software* O(entries) scan.
+//
+// Beside the candidate set the Queue keeps it once more in ascending Seq
+// order (ReadyBySeq), updated as candidates come and go, so oldest-first
+// select needs no per-cycle sort. The program-order list cannot stand in
+// for it: during Code Reuse, PartialUpdate re-renames buffered entries in
+// place with fresh sequence numbers, so list order is a rotation of age
+// order around the reuse pointer.
 package core
 
 import (
@@ -109,9 +116,12 @@ type Queue struct {
 	classDirty bool
 
 	// readySlots is the select logic's candidate set: valid, unissued
-	// entries with every source ready. Unordered; the pipeline sorts by
-	// sequence number for oldest-first select.
+	// entries with every source ready. Unordered (readyPos indexes it).
 	readySlots []int32
+	// readyOrd holds the same candidates sorted by (Seq, Slot), the keys
+	// stored beside the slots so keeping it sorted never touches Entry.
+	//reuse:transient derived cache, rebuilt by ImportState
+	readyOrd []ReadyRef
 
 	// Wakeup index: one doubly-linked waiter list per physical register,
 	// with intrusive nodes 2*slot+src. Head slices grow on demand to the
@@ -144,9 +154,10 @@ func NewQueue(size int) *Queue {
 		st:    make([]slotMeta, size),
 		head:  -1, tail: -1,
 		storeHead: -1, storeTail: -1,
-		wNext: make([]int32, 2*size),
-		wPrev: make([]int32, 2*size),
-		wReg:  make([]int32, 2*size),
+		readyOrd: make([]ReadyRef, 0, size),
+		wNext:    make([]int32, 2*size),
+		wPrev:    make([]int32, 2*size),
+		wReg:     make([]int32, 2*size),
 	}
 	for i := range q.st {
 		q.st[i].next = int32(i + 1)
@@ -388,12 +399,48 @@ func (q *Queue) Wake(kind isa.RegKind, phys int) {
 }
 
 // ReadySlots returns the current select candidates: slots of valid, unissued
-// entries whose sources are all ready. The slice is unordered (the pipeline
-// sorts by sequence number) and reused across cycles; callers must not
-// retain or mutate it.
+// entries whose sources are all ready. The slice is unordered and reused
+// across cycles; callers must not retain or mutate it.
 //
 //reuse:hotpath
 func (q *Queue) ReadySlots() []int32 { return q.readySlots }
+
+// ReadyRef is one select candidate in the age-ordered index: the entry's
+// sequence number and its slot.
+type ReadyRef struct {
+	Seq  uint64
+	Slot int32
+}
+
+// ReadyBySeq returns the select candidates oldest first: the ReadySlots set
+// sorted by sequence number. The slice is the live index; callers must copy
+// it before issuing from it and must not retain or mutate it.
+//
+//reuse:hotpath
+func (q *Queue) ReadyBySeq() []ReadyRef { return q.readyOrd }
+
+// CheckReadyIndex verifies the age-ordered index against the candidate set:
+// the same slots, each keyed by its entry's current Seq, in strictly
+// ascending (Seq, Slot) order.
+func (q *Queue) CheckReadyIndex() error {
+	if len(q.readyOrd) != len(q.readySlots) {
+		return fmt.Errorf("core: ready index holds %d entries, candidate set %d", len(q.readyOrd), len(q.readySlots))
+	}
+	for i, r := range q.readyOrd {
+		if r.Slot < 0 || int(r.Slot) >= q.size || q.st[r.Slot].readyPos < 0 {
+			return fmt.Errorf("core: ready index[%d] = slot %d, not a candidate", i, r.Slot)
+		}
+		if seq := q.slots[r.Slot].Seq; r.Seq != seq {
+			return fmt.Errorf("core: ready index[%d] keys slot %d by seq %d, entry holds seq %d", i, r.Slot, r.Seq, seq)
+		}
+		if i > 0 {
+			if p := q.readyOrd[i-1]; p.Seq > r.Seq || (p.Seq == r.Seq && p.Slot >= r.Slot) {
+				return fmt.Errorf("core: ready index out of order at %d: (%d,%d) after (%d,%d)", i, r.Seq, r.Slot, p.Seq, p.Slot)
+			}
+		}
+	}
+	return nil
+}
 
 func (q *Queue) waitHeads(kind isa.RegKind) *[]int32 {
 	if kind == isa.KindFP {
@@ -440,6 +487,21 @@ func (q *Queue) addReady(slot int32) {
 	}
 	q.st[slot].readyPos = int32(len(q.readySlots))
 	q.readySlots = append(q.readySlots, slot)
+	q.insertReadyOrd(slot)
+}
+
+// insertReadyOrd places slot in readyOrd by one insertion step from the
+// young end: new candidates are mostly the youngest (dispatch) or near it
+// (wakeup of recent dependents).
+func (q *Queue) insertReadyOrd(slot int32) {
+	r := ReadyRef{Seq: q.slots[slot].Seq, Slot: slot}
+	q.readyOrd = append(q.readyOrd, r)
+	ord := q.readyOrd
+	i := len(ord) - 1
+	for ; i > 0 && (ord[i-1].Seq > r.Seq || (ord[i-1].Seq == r.Seq && ord[i-1].Slot > slot)); i-- {
+		ord[i] = ord[i-1]
+	}
+	ord[i] = r
 }
 
 func (q *Queue) removeReady(slot int32) {
@@ -453,6 +515,18 @@ func (q *Queue) removeReady(slot int32) {
 	q.st[moved].readyPos = pos
 	q.readySlots = q.readySlots[:last]
 	q.st[slot].readyPos = -1
+
+	// Scan from the old end: select issues oldest first.
+	ord := q.readyOrd
+	i := 0
+	for i < len(ord) && ord[i].Slot != slot {
+		i++
+	}
+	if i == len(ord) {
+		panic("core: ready index out of sync with the candidate set")
+	}
+	copy(ord[i:], ord[i+1:])
+	q.readyOrd = ord[:len(ord)-1]
 }
 
 // --------------------------------------------------- pending-store index --

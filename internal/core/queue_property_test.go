@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"reuseiq/internal/isa"
@@ -206,6 +208,7 @@ func (l *lockstep) check() {
 			t.Fatalf("ready set holds seq %d which reference says is not ready", q.Entry(int(slot)).Seq)
 		}
 	}
+	l.checkReadyIndex()
 	// Pending stores, in program order.
 	var refStores []uint64
 	for i := range ref.entries {
@@ -226,6 +229,39 @@ func (l *lockstep) check() {
 			t.Fatalf("pending stores: got %v, ref %v", gotStores, refStores)
 		}
 	}
+}
+
+// checkReadyIndex requires the age-ordered select index to equal the
+// candidate set sorted by sequence number.
+func (l *lockstep) checkReadyIndex() {
+	t, q := l.t, l.q
+	t.Helper()
+	want := make([]ReadyRef, 0, len(q.ReadySlots()))
+	for _, slot := range q.ReadySlots() {
+		want = append(want, ReadyRef{Seq: q.Entry(int(slot)).Seq, Slot: slot})
+	}
+	slices.SortFunc(want, func(a, b ReadyRef) int { return cmp.Compare(a.Seq, b.Seq) })
+	if got := q.ReadyBySeq(); !slices.Equal(got, want) {
+		t.Fatalf("ready index diverged from ReadySlots sorted by Seq:\n got  %v\n want %v", got, want)
+	}
+	if err := q.CheckReadyIndex(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// roundTrip carries the queue through ExportState/ImportState, alternately
+// into a fresh queue and over the live one (whose derived caches must be
+// rebuilt from the image, not kept).
+func (l *lockstep) roundTrip(fresh bool) {
+	st := l.q.ExportState()
+	dst := l.q
+	if fresh {
+		dst = NewQueue(l.q.Size())
+	}
+	if err := dst.ImportState(st); err != nil {
+		l.t.Fatal(err)
+	}
+	l.q = dst
 }
 
 func (l *lockstep) randomEntry(rng *rand.Rand) Entry {
@@ -324,6 +360,10 @@ func TestQueueMatchesCollapsingReference(t *testing.T) {
 				l.ref.Wake(kind, phys)
 			}
 			l.check()
+			if step%7 == 6 {
+				l.roundTrip(step%14 == 6)
+				l.check()
+			}
 		}
 	}
 }

@@ -126,6 +126,10 @@ func (q *Queue) ImportState(st QueueState) error {
 	q.classSlots = append(q.classSlots[:0], st.ClassSlots...)
 	q.classDirty = st.ClassDirty
 	q.readySlots = append(q.readySlots[:0], st.ReadySlots...)
+	q.readyOrd = q.readyOrd[:0]
+	for _, slot := range q.readySlots {
+		q.insertReadyOrd(slot)
+	}
 	copy(q.wNext, st.WNext)
 	copy(q.wPrev, st.WPrev)
 	copy(q.wReg, st.WReg)

@@ -220,6 +220,12 @@ func (k *Checker) Check() error {
 		return k.violateHead("controller is Normal but %d classified entries remain", classified)
 	}
 
+	// Select index: the age-ordered candidate index the issue stage walks
+	// must hold exactly the ready set, keyed by current sequence numbers.
+	if err := m.IQ.CheckReadyIndex(); err != nil {
+		return k.violateHead("%v", err)
+	}
+
 	// Reuse-pointer unidirectionality (paper §2.3): during Code Reuse the
 	// pointer only advances, by exactly the number of re-renamed entries,
 	// wrapping to the first buffered instruction after passing the last.

@@ -4,6 +4,16 @@
 // can never corrupt architectural memory state. Loads forward from older
 // resolved stores and wait conservatively while any older store address is
 // unknown.
+//
+// Both load-side checks cost work proportional to what they decide, not to
+// queue occupancy. The older-store-address check keeps a cursor: the number
+// of entries from the head known to hold no unresolved store. An entry's
+// AddrReady only ever goes false to true while it is in the queue, so the
+// prefix stays clean until the head pops (the cursor shrinks with it) or a
+// squash truncates the queue (the cursor is clamped); a query only extends
+// it, which makes the check amortised O(1). The forwarding search starts at
+// the load's own slot and walks back over older entries only. Ring indices
+// wrap by compare instead of a per-step modulo, so any capacity works.
 package lsq
 
 // Entry is one in-flight memory operation.
@@ -32,6 +42,11 @@ type LSQ struct {
 	head  int
 	count int
 
+	// clean counts the entries from head known to hold no unresolved store
+	// address (0 <= clean <= count). OlderStoreAddrsKnown extends it lazily.
+	//reuse:transient derived cache, rebuilt by ImportState
+	clean int
+
 	Allocs         uint64
 	Searches       uint64 // associative searches by loads
 	Forwards       uint64 // store-to-load forwards
@@ -57,7 +72,7 @@ func (q *LSQ) Alloc(e Entry) (int, bool) {
 	if q.Full() {
 		return 0, false
 	}
-	slot := (q.head + q.count) % len(q.ring)
+	slot := q.wrap(q.head + q.count)
 	q.ring[slot] = e
 	q.count++
 	q.Allocs++
@@ -83,8 +98,11 @@ func (q *LSQ) PopHead() Entry {
 		panic("lsq: pop of empty queue")
 	}
 	e := q.ring[q.head]
-	q.head = (q.head + 1) % len(q.ring)
+	q.head = q.wrap(q.head + 1)
 	q.count--
+	if q.clean > 0 {
+		q.clean--
+	}
 	return e
 }
 
@@ -92,27 +110,40 @@ func (q *LSQ) PopHead() Entry {
 //
 //reuse:hotpath
 func (q *LSQ) SquashAfter(seq uint64) {
-	for q.count > 0 {
-		tail := (q.head + q.count - 1) % len(q.ring)
-		if q.ring[tail].Seq <= seq {
-			return
-		}
+	for q.count > 0 && q.ring[q.wrap(q.head+q.count-1)].Seq > seq {
 		q.count--
 	}
+	q.clean = min(q.clean, q.count)
+}
+
+// wrap folds a ring index in [0, 2*len(ring)) back into range.
+func (q *LSQ) wrap(i int) int {
+	if i >= len(q.ring) {
+		i -= len(q.ring)
+	}
+	return i
 }
 
 // OlderStoreAddrsKnown reports whether every store older than seq has a
 // resolved address. Loads issue only when this holds (conservative
-// disambiguation).
+// disambiguation). Entries sit in seq order, so the answer is decided by
+// the oldest unresolved store alone; the clean-prefix cursor finds it.
+//
+//reuse:hotpath
 func (q *LSQ) OlderStoreAddrsKnown(seq uint64) bool {
-	for i := 0; i < q.count; i++ {
-		e := &q.ring[(q.head+i)%len(q.ring)]
-		if e.Seq >= seq {
-			break
-		}
+	i := q.wrap(q.head + q.clean)
+	for q.clean < q.count {
+		e := &q.ring[i]
 		if e.IsStore && !e.AddrReady {
+			if e.Seq >= seq {
+				return true
+			}
 			q.ConflictStalls++
 			return false
+		}
+		q.clean++
+		if i++; i == len(q.ring) {
+			i = 0
 		}
 	}
 	return true
@@ -131,16 +162,26 @@ const (
 	MustWait
 )
 
-// SearchForLoad performs the load's associative search against older stores.
-// On Forwarded, dataI/dataF carry the store's value.
+// SearchForLoad performs the associative search of the load in slot against
+// the stores older than it. On Forwarded, dataI/dataF carry the store's
+// value.
 //
 //reuse:hotpath
-func (q *LSQ) SearchForLoad(seq uint64, addr uint32, size uint8) (ForwardResult, int32, float64) {
+func (q *LSQ) SearchForLoad(slot int, addr uint32, size uint8) (ForwardResult, int32, float64) {
 	q.Searches++
-	// Scan from youngest older entry to oldest; first overlap decides.
-	for i := q.count - 1; i >= 0; i-- {
-		e := &q.ring[(q.head+i)%len(q.ring)]
-		if e.Seq >= seq || !e.IsStore {
+	// Scan from the youngest older entry back to the head; the first
+	// overlap decides.
+	older := slot - q.head
+	if older < 0 {
+		older += len(q.ring)
+	}
+	for i := slot; older > 0; older-- {
+		if i == 0 {
+			i = len(q.ring)
+		}
+		i--
+		e := &q.ring[i]
+		if !e.IsStore {
 			continue
 		}
 		if !e.AddrReady {
@@ -164,8 +205,11 @@ func overlaps(a1, s1, a2, s2 uint32) bool {
 
 // Walk calls f over all entries in program order.
 func (q *LSQ) Walk(f func(slot int, e *Entry)) {
+	slot := q.head
 	for i := 0; i < q.count; i++ {
-		slot := (q.head + i) % len(q.ring)
 		f(slot, &q.ring[slot])
+		if slot++; slot == len(q.ring) {
+			slot = 0
+		}
 	}
 }

@@ -1,6 +1,9 @@
 package lsq
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+)
 
 func store(seq uint64, addr uint32, size uint8, data int32, resolved bool) Entry {
 	return Entry{Seq: seq, IsStore: true, Size: size, Addr: addr,
@@ -45,8 +48,8 @@ func TestOlderStoreAddrsKnown(t *testing.T) {
 func TestForwardExactMatch(t *testing.T) {
 	q := New(8)
 	q.Alloc(store(1, 0x100, 4, 42, true))
-	q.Alloc(load(2, 4))
-	res, dI, _ := q.SearchForLoad(2, 0x100, 4)
+	ls, _ := q.Alloc(load(2, 4))
+	res, dI, _ := q.SearchForLoad(ls, 0x100, 4)
 	if res != Forwarded || dI != 42 {
 		t.Fatalf("res=%v dI=%d", res, dI)
 	}
@@ -59,8 +62,8 @@ func TestForwardYoungestOlderWins(t *testing.T) {
 	q := New(8)
 	q.Alloc(store(1, 0x100, 4, 1, true))
 	q.Alloc(store(2, 0x100, 4, 2, true))
-	q.Alloc(load(3, 4))
-	res, dI, _ := q.SearchForLoad(3, 0x100, 4)
+	ls, _ := q.Alloc(load(3, 4))
+	res, dI, _ := q.SearchForLoad(ls, 0x100, 4)
 	if res != Forwarded || dI != 2 {
 		t.Fatalf("got %v %d, want the younger store's value 2", res, dI)
 	}
@@ -68,9 +71,9 @@ func TestForwardYoungestOlderWins(t *testing.T) {
 
 func TestForwardIgnoresYoungerStores(t *testing.T) {
 	q := New(8)
-	q.Alloc(load(1, 4))
+	ls, _ := q.Alloc(load(1, 4))
 	q.Alloc(store(2, 0x100, 4, 9, true))
-	res, _, _ := q.SearchForLoad(1, 0x100, 4)
+	res, _, _ := q.SearchForLoad(ls, 0x100, 4)
 	if res != FromMemory {
 		t.Fatalf("res = %v, want FromMemory", res)
 	}
@@ -79,8 +82,8 @@ func TestForwardIgnoresYoungerStores(t *testing.T) {
 func TestForwardNoOverlapGoesToMemory(t *testing.T) {
 	q := New(8)
 	q.Alloc(store(1, 0x100, 4, 9, true))
-	q.Alloc(load(2, 4))
-	res, _, _ := q.SearchForLoad(2, 0x104, 4)
+	ls, _ := q.Alloc(load(2, 4))
+	res, _, _ := q.SearchForLoad(ls, 0x104, 4)
 	if res != FromMemory {
 		t.Fatalf("res = %v", res)
 	}
@@ -89,13 +92,13 @@ func TestForwardNoOverlapGoesToMemory(t *testing.T) {
 func TestPartialOverlapMustWait(t *testing.T) {
 	q := New(8)
 	q.Alloc(store(1, 0x100, 1, 0xff, true)) // byte store
-	q.Alloc(load(2, 4))
-	res, _, _ := q.SearchForLoad(2, 0x100, 4) // word load overlapping the byte
+	ls, _ := q.Alloc(load(2, 4))
+	res, _, _ := q.SearchForLoad(ls, 0x100, 4) // word load overlapping the byte
 	if res != MustWait {
 		t.Fatalf("res = %v, want MustWait on size mismatch", res)
 	}
 	// Byte load at a different offset within the same word: no overlap.
-	res, _, _ = q.SearchForLoad(2, 0x101, 1)
+	res, _, _ = q.SearchForLoad(ls, 0x101, 1)
 	if res != FromMemory {
 		t.Fatalf("res = %v, want FromMemory for disjoint byte", res)
 	}
@@ -104,8 +107,8 @@ func TestPartialOverlapMustWait(t *testing.T) {
 func TestUnresolvedOlderStoreMustWait(t *testing.T) {
 	q := New(8)
 	q.Alloc(store(1, 0, 4, 0, false))
-	q.Alloc(load(2, 4))
-	res, _, _ := q.SearchForLoad(2, 0x100, 4)
+	ls, _ := q.Alloc(load(2, 4))
+	res, _, _ := q.SearchForLoad(ls, 0x100, 4)
 	if res != MustWait {
 		t.Fatalf("res = %v", res)
 	}
@@ -116,8 +119,8 @@ func TestFPForwarding(t *testing.T) {
 	s := Entry{Seq: 1, IsStore: true, IsFP: true, Size: 8, Addr: 0x200,
 		AddrReady: true, DataReady: true, DataF: 2.5}
 	q.Alloc(s)
-	q.Alloc(Entry{Seq: 2, Size: 8, IsFP: true})
-	res, _, dF := q.SearchForLoad(2, 0x200, 8)
+	ls, _ := q.Alloc(Entry{Seq: 2, Size: 8, IsFP: true})
+	res, _, dF := q.SearchForLoad(ls, 0x200, 8)
 	if res != Forwarded || dF != 2.5 {
 		t.Fatalf("res=%v dF=%v", res, dF)
 	}
@@ -172,4 +175,195 @@ func TestOverlapHelper(t *testing.T) {
 			t.Errorf("overlaps(0x%x,%d, 0x%x,%d) = %v", c.a1, c.s1, c.a2, c.s2, got)
 		}
 	}
+}
+
+// refLSQ is the original linear-scan queue, kept as the differential
+// reference for the cursor-based disambiguation check and the older-only
+// forwarding search: every decision and every counter must agree.
+type refLSQ struct {
+	ring                               []Entry
+	head, count                        int
+	searches, forwards, conflictStalls uint64
+}
+
+func (r *refLSQ) alloc(e Entry) (int, bool) {
+	if r.count == len(r.ring) {
+		return 0, false
+	}
+	slot := (r.head + r.count) % len(r.ring)
+	r.ring[slot] = e
+	r.count++
+	return slot, true
+}
+
+func (r *refLSQ) popHead() Entry {
+	e := r.ring[r.head]
+	r.head = (r.head + 1) % len(r.ring)
+	r.count--
+	return e
+}
+
+func (r *refLSQ) squashAfter(seq uint64) {
+	for r.count > 0 {
+		tail := (r.head + r.count - 1) % len(r.ring)
+		if r.ring[tail].Seq <= seq {
+			return
+		}
+		r.count--
+	}
+}
+
+func (r *refLSQ) olderStoreAddrsKnown(seq uint64) bool {
+	for i := 0; i < r.count; i++ {
+		e := &r.ring[(r.head+i)%len(r.ring)]
+		if e.Seq >= seq {
+			break
+		}
+		if e.IsStore && !e.AddrReady {
+			r.conflictStalls++
+			return false
+		}
+	}
+	return true
+}
+
+func (r *refLSQ) searchForLoad(seq uint64, addr uint32, size uint8) (ForwardResult, int32, float64) {
+	r.searches++
+	for i := r.count - 1; i >= 0; i-- {
+		e := &r.ring[(r.head+i)%len(r.ring)]
+		if e.Seq >= seq || !e.IsStore {
+			continue
+		}
+		if !e.AddrReady {
+			return MustWait, 0, 0
+		}
+		if !overlaps(e.Addr, uint32(e.Size), addr, uint32(size)) {
+			continue
+		}
+		if e.Addr == addr && e.Size == size && e.DataReady {
+			r.forwards++
+			return Forwarded, e.DataI, e.DataF
+		}
+		return MustWait, 0, 0
+	}
+	return FromMemory, 0, 0
+}
+
+// TestDifferentialAgainstLinearScan drives the queue and the linear-scan
+// reference with identical seeded operation streams — allocation, address
+// resolution, commit, squash, and snapshot round trips including restores
+// of older images — over ring sizes that are not powers of two, and
+// requires identical answers and counters after every operation.
+func TestDifferentialAgainstLinearScan(t *testing.T) {
+	sizes := []uint8{1, 4, 8}
+	addrs := []uint32{0x100, 0x101, 0x104, 0x108}
+	for _, capacity := range []int{1, 2, 3, 5, 7, 8, 12, 16} {
+		for seed := int64(1); seed <= 8; seed++ {
+			rng := rand.New(rand.NewSource(seed*1000 + int64(capacity)))
+			q := New(capacity)
+			ref := &refLSQ{ring: make([]Entry, capacity)}
+			var nextSeq uint64
+			var saved State
+			var savedRef *refLSQ
+			haveSaved := false
+			for step := 0; step < 3000; step++ {
+				op := rng.Intn(10)
+				switch {
+				case op < 3: // dispatch a memory operation
+					nextSeq++
+					e := Entry{Seq: nextSeq, IsStore: rng.Intn(2) == 0, Size: sizes[rng.Intn(len(sizes))]}
+					if e.IsStore && rng.Intn(3) == 0 {
+						e.AddrReady, e.Addr = true, addrs[rng.Intn(len(addrs))]
+						e.DataReady, e.DataI = true, rng.Int31()
+					}
+					s1, ok1 := q.Alloc(e)
+					s2, ok2 := ref.alloc(e)
+					if s1 != s2 || ok1 != ok2 {
+						t.Fatalf("cap %d seed %d step %d: alloc (%d,%v) vs ref (%d,%v)", capacity, seed, step, s1, ok1, s2, ok2)
+					}
+				case op < 5: // resolve an address (false -> true only)
+					if q.Len() == 0 {
+						continue
+					}
+					slot := (q.head + rng.Intn(q.Len())) % capacity
+					if q.ring[slot].AddrReady {
+						continue
+					}
+					a, d, dataReady := addrs[rng.Intn(len(addrs))], rng.Int31(), rng.Intn(4) != 0
+					for _, e := range []*Entry{q.Get(slot), &ref.ring[slot]} {
+						e.AddrReady, e.Addr = true, a
+						if e.IsStore {
+							e.DataReady, e.DataI = dataReady, d
+						}
+					}
+				case op < 8: // a load attempts to issue
+					if q.Len() == 0 {
+						continue
+					}
+					slot := (q.head + rng.Intn(q.Len())) % capacity
+					seq := q.ring[slot].Seq
+					k1, k2 := q.OlderStoreAddrsKnown(seq), ref.olderStoreAddrsKnown(seq)
+					if k1 != k2 {
+						t.Fatalf("cap %d seed %d step %d: OlderStoreAddrsKnown(%d) = %v, ref %v", capacity, seed, step, seq, k1, k2)
+					}
+					if !k1 {
+						continue
+					}
+					a, sz := addrs[rng.Intn(len(addrs))], sizes[rng.Intn(len(sizes))]
+					r1, i1, f1 := q.SearchForLoad(slot, a, sz)
+					r2, i2, f2 := ref.searchForLoad(seq, a, sz)
+					if r1 != r2 || i1 != i2 || f1 != f2 {
+						t.Fatalf("cap %d seed %d step %d: SearchForLoad(slot %d) = (%v,%d,%v), ref (%v,%d,%v)",
+							capacity, seed, step, slot, r1, i1, f1, r2, i2, f2)
+					}
+				case op == 8: // commit, or squash a younger suffix
+					if q.Len() == 0 {
+						continue
+					}
+					if rng.Intn(2) == 0 {
+						if e1, e2 := q.PopHead(), ref.popHead(); e1 != e2 {
+							t.Fatalf("cap %d seed %d step %d: pop %+v vs ref %+v", capacity, seed, step, e1, e2)
+						}
+					} else {
+						cut := q.Head().Seq - 1 + uint64(rng.Intn(q.Len()+1))
+						q.SquashAfter(cut)
+						ref.squashAfter(cut)
+					}
+				default: // snapshot round trip, or restore an older image
+					if !haveSaved || rng.Intn(2) == 0 {
+						saved, savedRef, haveSaved = q.ExportState(), cloneRef(ref), true
+						continue
+					}
+					fresh := New(capacity)
+					if rng.Intn(2) == 0 {
+						fresh = q // import over the live queue and its cursor
+					}
+					if err := fresh.ImportState(saved); err != nil {
+						t.Fatal(err)
+					}
+					q, ref = fresh, cloneRef(savedRef)
+					nextSeq = max(nextSeq, lastSeq(ref))
+				}
+				if q.Len() != ref.count || q.head != ref.head ||
+					q.Searches != ref.searches || q.Forwards != ref.forwards || q.ConflictStalls != ref.conflictStalls {
+					t.Fatalf("cap %d seed %d step %d: queue (head %d len %d S%d F%d C%d) vs ref (head %d len %d S%d F%d C%d)",
+						capacity, seed, step, q.head, q.Len(), q.Searches, q.Forwards, q.ConflictStalls,
+						ref.head, ref.count, ref.searches, ref.forwards, ref.conflictStalls)
+				}
+			}
+		}
+	}
+}
+
+func cloneRef(r *refLSQ) *refLSQ {
+	c := *r
+	c.ring = append([]Entry(nil), r.ring...)
+	return &c
+}
+
+func lastSeq(r *refLSQ) uint64 {
+	if r.count == 0 {
+		return 0
+	}
+	return r.ring[(r.head+r.count-1)%len(r.ring)].Seq
 }

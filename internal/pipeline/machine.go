@@ -135,7 +135,7 @@ type Machine struct {
 	//reuse:transient writeback scratch; never live across a cycle boundary
 	done []execEntry // writeback scratch (completions this cycle)
 	//reuse:transient issue scratch; never live across a cycle boundary
-	cands      []issueCand // issue scratch (sorted ready candidates)
+	cands      []core.ReadyRef // issue scratch (copy of the age-ordered ready index)
 	halted     bool
 	lastCommit uint64
 
@@ -299,7 +299,7 @@ func New(cfg Config, p *prog.Program) *Machine {
 		m.decodeLat = make([]fetched, 0, cfg.DecodeWidth)
 		m.execQ = make([]execEntry, 0, cfg.IQSize)
 		m.done = make([]execEntry, 0, cfg.IQSize)
-		m.cands = make([]issueCand, 0, cfg.IQSize)
+		m.cands = make([]core.ReadyRef, 0, cfg.IQSize)
 	}
 	return m
 }
@@ -310,7 +310,7 @@ type workspace struct {
 	decodeLat []fetched
 	execQ     []execEntry
 	done      []execEntry
-	cands     []issueCand
+	cands     []core.ReadyRef
 	commitLog []uint32
 }
 

@@ -250,12 +250,6 @@ func (m *Machine) recover(e *rob.Entry) {
 
 // ----------------------------------------------------------------- issue --
 
-// issueCand is one ready queue entry competing for an issue port.
-type issueCand struct {
-	seq  uint64
-	slot int32
-}
-
 //reuse:hotpath
 func (m *Machine) issue() {
 	// The modeled select logic examines every live entry each cycle; the
@@ -265,21 +259,19 @@ func (m *Machine) issue() {
 
 	m.resolveStoreAddresses()
 
-	// Select ready entries oldest first. Slots are stable, so no position
-	// compensation is needed when an issued entry is removed.
+	// Select ready entries oldest first from the queue's age-ordered
+	// index. Issuing removes entries from that index, so select walks a
+	// copy; slots are stable, so no position compensation is needed.
 	cands := m.cands[:0]
-	for _, slot := range m.IQ.ReadySlots() {
-		cands = append(cands, issueCand{seq: m.IQ.Entry(int(slot)).Seq, slot: slot})
-	}
+	cands = append(cands, m.IQ.ReadyBySeq()...)
 	m.cands = cands
-	slices.SortFunc(cands, func(a, b issueCand) int { return cmp.Compare(a.seq, b.seq) })
 
 	issued := 0
 	for _, c := range cands {
 		if issued >= m.Cfg.IssueWidth {
 			break
 		}
-		if m.tryIssueEntry(int(c.slot)) {
+		if m.tryIssueEntry(int(c.Slot)) {
 			issued++
 		}
 	}
@@ -366,7 +358,7 @@ func (m *Machine) tryIssueEntry(slot int) bool {
 	var valF float64
 	switch cls {
 	case isa.ClassLoad:
-		res, dI, dF := m.LSQ.SearchForLoad(e.Seq, r.Addr, memSize(op))
+		res, dI, dF := m.LSQ.SearchForLoad(e.LSQSlot, r.Addr, memSize(op))
 		if res == lsq.MustWait {
 			return false
 		}
