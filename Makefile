@@ -97,8 +97,9 @@ fuzz:
 # baseline with bench-baseline after an intentional perf change — on the
 # same machine, so deltas mean something.
 # Also rewrites BENCH_simcore.json (the Figure 5 sweep's simulated cycles,
-# ns/cycle and allocs/cycle) and diffs it against the copy it replaces
-# (benchdiff -json gates ns_per_cycle and allocs_per_cycle), and refreshes
+# ns/cycle and allocs/cycle, plus cycles and ns/cycle per <kernel>/iq<n>
+# cell) and diffs it against the copy it replaces (benchdiff -json gates
+# ns_per_cycle, allocs_per_cycle and each cell's ns_per_cycle), and refreshes
 # BENCH_ffwd.json, the ffwd-on/off wall-time comparison per figure section
 # plus the loopmark sweep.
 BENCH_RE    = ^(BenchmarkSimulatorSpeed|BenchmarkKernel|BenchmarkFastForward|BenchmarkFlightRecorder)$$

@@ -17,9 +17,10 @@
 // With -json the inputs are the schema-versioned runstore.BenchRecord files
 // reusebench writes (BENCH_simcore.json, BENCH_ffwd.json). Both files are
 // validated — a malformed or future-version record exits 2, never a silent
-// mis-diff — then diffed metric by metric; watched metrics (-watch, default
-// ns_per_cycle and allocs_per_cycle) that grow beyond the threshold fail the
-// run.
+// mis-diff — then diffed metric by metric; watched metrics that grow beyond
+// the threshold fail the run. A -json watch name may hold one '*' matching
+// any run of characters; the default watches the sweep's ns_per_cycle and
+// allocs_per_cycle and every cell's section.<kernel>/iq<n>.ns_per_cycle.
 package main
 
 import (
@@ -127,7 +128,7 @@ func mainImpl(args []string, stdout, stderr io.Writer) int {
 	}
 	if *jsonMode {
 		if *watch == "" {
-			*watch = "ns_per_cycle,allocs_per_cycle"
+			*watch = "ns_per_cycle,allocs_per_cycle,section.*.ns_per_cycle"
 		}
 		return jsonImpl(fs.Arg(0), fs.Arg(1), *threshold, *watch, stdout, stderr)
 	}
@@ -223,11 +224,19 @@ func jsonImpl(oldPath, newPath string, threshold float64, watch string, stdout, 
 		fmt.Fprintln(stderr, "benchdiff:", err)
 		return 2
 	}
-	watched := map[string]bool{}
+	var patterns []string
 	for _, w := range strings.Split(watch, ",") {
 		if w = strings.TrimSpace(w); w != "" {
-			watched[w] = true
+			patterns = append(patterns, w)
 		}
+	}
+	watched := func(name string) bool {
+		for _, p := range patterns {
+			if matchWatch(p, name) {
+				return true
+			}
+		}
+		return false
 	}
 	failed := false
 	fmt.Fprintf(stdout, "%-34s %18s %18s %9s\n", "metric", "old", "new", "delta")
@@ -238,7 +247,7 @@ func jsonImpl(oldPath, newPath string, threshold float64, watch string, stdout, 
 			continue
 		case !row.BOK:
 			fmt.Fprintf(stdout, "%-34s only in %s\n", row.Name, oldPath)
-			if watched[row.Name] {
+			if watched(row.Name) {
 				fmt.Fprintf(stderr, "benchdiff: watched metric %s missing from %s\n", row.Name, newPath)
 				failed = true
 			}
@@ -251,7 +260,7 @@ func jsonImpl(oldPath, newPath string, threshold float64, watch string, stdout, 
 			delta = 100
 		}
 		mark := ""
-		if watched[row.Name] && delta > threshold {
+		if watched(row.Name) && delta > threshold {
 			mark = "  REGRESSION"
 			failed = true
 		}
@@ -263,4 +272,15 @@ func jsonImpl(oldPath, newPath string, threshold float64, watch string, stdout, 
 	}
 	fmt.Fprintf(stdout, "ok: no watched metric regressed more than %.0f%%\n", threshold)
 	return 0
+}
+
+// matchWatch reports whether name matches pattern, where pattern may hold
+// one '*' standing for any run of characters.
+func matchWatch(pattern, name string) bool {
+	prefix, suffix, wild := strings.Cut(pattern, "*")
+	if !wild {
+		return pattern == name
+	}
+	return len(name) >= len(prefix)+len(suffix) &&
+		strings.HasPrefix(name, prefix) && strings.HasSuffix(name, suffix)
 }

@@ -170,6 +170,47 @@ func TestJSONModeOKAndRegression(t *testing.T) {
 	}
 }
 
+// cellJSON renders a simcore BenchRecord with one Figure 5 cell section.
+func cellJSON(cellNSPerCycle float64) string {
+	return fmt.Sprintf(`{
+  "v": 1, "kind": "simcore",
+  "throughput": {"simulated_cycles": 1000, "wall_ns": 2000, "wall": "2µs",
+    "cycles_per_sec": 5e8, "ns_per_cycle": 2, "allocs_per_cycle": 0.03},
+  "sections": [{"name": "figure5", "wall": "1µs", "wall_ns": 1000},
+    {"name": "aps/iq256", "wall": "1µs", "wall_ns": 1000, "simulated_cycles": 500, "ns_per_cycle": %g}]
+}`, cellNSPerCycle)
+}
+
+func TestJSONModeWatchesCells(t *testing.T) {
+	oldPath := writeBench(t, "old.json", cellJSON(2.0))
+	slowPath := writeBench(t, "slow.json", cellJSON(3.0))
+	out, _, code := runDiff(t, "-json", oldPath, slowPath)
+	if code != 1 || !strings.Contains(out, "section.aps/iq256.ns_per_cycle") || !strings.Contains(out, "REGRESSION") {
+		t.Fatalf("a cell's 50%% ns/cycle growth must fail the default watch: exit %d\n%s", code, out)
+	}
+	if _, _, code := runDiff(t, "-json", "-watch", "ns_per_cycle", oldPath, slowPath); code != 0 {
+		t.Errorf("an explicit watch without the cells still failed: exit %d", code)
+	}
+}
+
+func TestMatchWatch(t *testing.T) {
+	for _, c := range []struct {
+		pattern, name string
+		want          bool
+	}{
+		{"ns_per_cycle", "ns_per_cycle", true},
+		{"ns_per_cycle", "section.aps/iq32.ns_per_cycle", false},
+		{"section.*.ns_per_cycle", "section.aps/iq32.ns_per_cycle", true},
+		{"section.*.ns_per_cycle", "section.aps/iq32.wall_ns", false},
+		{"section.*.ns_per_cycle", "section.ns_per_cycle", false},
+		{"*", "anything", true},
+	} {
+		if got := matchWatch(c.pattern, c.name); got != c.want {
+			t.Errorf("matchWatch(%q, %q) = %v, want %v", c.pattern, c.name, got, c.want)
+		}
+	}
+}
+
 // TestJSONModeMalformedExits2 pins the validation gate: a syntactically
 // broken file, a future schema version, a wrong kind shape and a kind
 // mismatch all exit 2 — never a silent mis-diff.

@@ -15,7 +15,9 @@
 //
 // Alongside the text report, a machine-readable throughput summary is
 // written to BENCH_simcore.json (disable with -benchjson ""): simulated
-// cycles, cycles/sec, ns/cycle, allocs/cycle and per-section wall time.
+// cycles, cycles/sec, ns/cycle, allocs/cycle, per-section wall time, and
+// one section per Figure 5 cell (<kernel>/iq<n>) with its simulated cycles
+// and ns/cycle.
 // CI and the perf-regression harness consume it; the text report stays
 // byte-stable across timing jitter.
 package main
@@ -28,11 +30,13 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
 	"time"
 
+	"reuseiq/internal/core"
 	"reuseiq/internal/experiments"
 	"reuseiq/internal/ffwd"
 	"reuseiq/internal/obs"
@@ -46,6 +50,38 @@ import (
 // -json validates and diffs them. Cycle totals come from the Suite cache
 // (each configuration simulated exactly once), so cycles/sec is true
 // simulation throughput, not inflated by cache hits.
+
+// cellTimes collects the simulation time of each Figure 5 cell (reuse on,
+// original code, default strategy and NBLT) as it finishes.
+type cellTimes struct {
+	mu    sync.Mutex
+	cells []runstore.BenchSection
+}
+
+func (c *cellTimes) record(sp experiments.Spec, r experiments.RunResult, sim time.Duration) {
+	if !sp.Reuse || sp.Distributed || sp.Strategy != core.StrategyMulti || sp.NBLTSize >= 0 || r.Cycles == 0 {
+		return
+	}
+	sec := runstore.BenchSection{
+		Name:            fmt.Sprintf("%s/iq%d", sp.Kernel, sp.IQSize),
+		Wall:            sim.Round(time.Millisecond).String(),
+		WallNS:          sim.Nanoseconds(),
+		SimulatedCycles: r.Cycles,
+		NSPerCycle:      float64(sim.Nanoseconds()) / float64(r.Cycles),
+	}
+	c.mu.Lock()
+	c.cells = append(c.cells, sec)
+	c.mu.Unlock()
+}
+
+// sections returns the recorded cells sorted by name.
+func (c *cellTimes) sections() []runstore.BenchSection {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	out := slices.Clone(c.cells)
+	slices.SortFunc(out, func(a, b runstore.BenchSection) int { return strings.Compare(a.Name, b.Name) })
+	return out
+}
 
 func makeFfwdSection(name string, off, on time.Duration) runstore.BenchFfwdSection {
 	s := runstore.BenchFfwdSection{
@@ -251,6 +287,10 @@ func main() {
 
 	s := experiments.NewSuite()
 	s.FastForward = *ffwdFlag
+	var cells cellTimes
+	if *benchJSON != "" {
+		s.CellDone = cells.record
+	}
 	if *resume && *journal == "" {
 		fmt.Fprintln(os.Stderr, "reusebench: -resume requires -journal")
 		os.Exit(1)
@@ -544,7 +584,7 @@ func main() {
 		}
 		rec := &runstore.BenchRecord{
 			V: runstore.BenchSchemaVersion, Kind: runstore.BenchSimcore,
-			Throughput: &th, Sections: sections,
+			Throughput: &th, Sections: append(sections, cells.sections()...),
 		}
 		if err := runstore.WriteBenchRecord(*benchJSON, rec); err != nil {
 			fail(err)

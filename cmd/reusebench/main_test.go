@@ -80,3 +80,21 @@ func TestProgressRecordRunIDRoundTrip(t *testing.T) {
 		t.Errorf("run_id after round trip = %q, want %q", back.RunID, r.RunID)
 	}
 }
+
+func TestCellTimesKeepsFigure5CellsSorted(t *testing.T) {
+	var c cellTimes
+	r := experiments.RunResult{Cycles: 1000}
+	c.record(experiments.Spec{Kernel: "wss", IQSize: 32, Reuse: true, NBLTSize: -1}, r, 2*time.Millisecond)
+	c.record(experiments.Spec{Kernel: "aps", IQSize: 256, Reuse: true, NBLTSize: -1}, r, time.Millisecond)
+	// Not Figure 5 cells: baseline, distributed, non-default NBLT.
+	c.record(experiments.Spec{Kernel: "aps", IQSize: 64, NBLTSize: -1}, r, time.Millisecond)
+	c.record(experiments.Spec{Kernel: "aps", IQSize: 64, Reuse: true, Distributed: true, NBLTSize: -1}, r, time.Millisecond)
+	c.record(experiments.Spec{Kernel: "aps", IQSize: 64, Reuse: true, NBLTSize: 4}, r, time.Millisecond)
+	got := c.sections()
+	if len(got) != 2 || got[0].Name != "aps/iq256" || got[1].Name != "wss/iq32" {
+		t.Fatalf("sections = %+v, want aps/iq256 then wss/iq32", got)
+	}
+	if got[0].SimulatedCycles != 1000 || got[0].NSPerCycle != 1000 || got[1].NSPerCycle != 2000 {
+		t.Errorf("cycles/ns per cycle wrong: %+v", got)
+	}
+}

@@ -88,7 +88,7 @@ func TestWaiverBudget(t *testing.T) {
 		"allow-unguarded":     4,
 		"nodigest":            37,
 		"nowire":              0,
-		"transient":           36,
+		"transient":           38,
 	}
 	for name, want := range budget {
 		if got := countWaivers(mod, name); got != want {

@@ -34,6 +34,15 @@
 // for it: during Code Reuse, PartialUpdate re-renames buffered entries in
 // place with fresh sequence numbers, so list order is a rotation of age
 // order around the reuse pointer.
+//
+// A candidate whose load is blocked by an older store can be parked (Park):
+// it leaves the age-ordered index for a parked set, also kept in Seq order
+// (Parked), and joins a waiter list keyed by the blocking store's LSQ slot.
+// Unpark returns a key's loads to the index when that store changes. Parked
+// entries stay in ReadySlots — parking is a software shortcut, not a change
+// to the modeled queue — so ReadyBySeq and Parked always partition the
+// candidate set. The parked set is derived: ImportState empties it, and the
+// issue stage re-parks whatever is still blocked on its next search.
 package core
 
 import (
@@ -93,6 +102,12 @@ type slotMeta struct {
 	inStore      bool
 }
 
+// parkNode is a queue slot's link on its key's parked list.
+type parkNode struct {
+	key        int32 // LSQ slot of the blocking store; -1 when not parked
+	next, prev int32 // list links (-1 = none)
+}
+
 // Queue is the reuse-capable issue queue. Entries sit in program order on an
 // intrusive list over stable slots; removing an issued entry unlinks it in
 // O(1) while the Collapses counter still charges the entry shifts the
@@ -122,6 +137,16 @@ type Queue struct {
 	// stored beside the slots so keeping it sorted never touches Entry.
 	//reuse:transient derived cache, rebuilt by ImportState
 	readyOrd []ReadyRef
+	// parked holds the candidates parked on a blocking store, sorted by
+	// (Seq, Slot) like readyOrd; the two partition readySlots.
+	//reuse:transient derived cache, emptied by ImportState; a restored machine re-parks on its next search
+	parked []ReadyRef
+	// parkHeads[key] is the first slot parked on LSQ slot key (-1 = none);
+	// parkLink threads each key's list through the queue slots.
+	//reuse:transient derived cache, emptied by ImportState; a restored machine re-parks on its next search
+	parkHeads []int32
+	//reuse:transient derived cache, emptied by ImportState; a restored machine re-parks on its next search
+	parkLink []parkNode
 
 	// Wakeup index: one doubly-linked waiter list per physical register,
 	// with intrusive nodes 2*slot+src. Head slices grow on demand to the
@@ -155,6 +180,8 @@ func NewQueue(size int) *Queue {
 		head:  -1, tail: -1,
 		storeHead: -1, storeTail: -1,
 		readyOrd: make([]ReadyRef, 0, size),
+		parked:   make([]ReadyRef, 0, size),
+		parkLink: make([]parkNode, size),
 		wNext:    make([]int32, 2*size),
 		wPrev:    make([]int32, 2*size),
 		wReg:     make([]int32, 2*size),
@@ -167,7 +194,18 @@ func NewQueue(size int) *Queue {
 	for i := range q.wReg {
 		q.wReg[i] = -1
 	}
+	for i := range q.parkLink {
+		q.parkLink[i] = parkNode{key: -1, next: -1, prev: -1}
+	}
 	return q
+}
+
+// ParkKeys sizes the park index for keys in [0, n): the LSQ capacity.
+func (q *Queue) ParkKeys(n int) {
+	q.parkHeads = make([]int32, n)
+	for i := range q.parkHeads {
+		q.parkHeads[i] = -1
+	}
 }
 
 // Size and Len report capacity and occupancy; Free the open slots.
@@ -419,27 +457,172 @@ type ReadyRef struct {
 //reuse:hotpath
 func (q *Queue) ReadyBySeq() []ReadyRef { return q.readyOrd }
 
-// CheckReadyIndex verifies the age-ordered index against the candidate set:
-// the same slots, each keyed by its entry's current Seq, in strictly
-// ascending (Seq, Slot) order.
+// CheckReadyIndex verifies the age-ordered index and the parked set
+// against the candidate set: together they hold every candidate exactly
+// once, each keyed by its entry's current Seq, each in strictly ascending
+// (Seq, Slot) order, and the parked slots are exactly those on the key lists.
 func (q *Queue) CheckReadyIndex() error {
-	if len(q.readyOrd) != len(q.readySlots) {
-		return fmt.Errorf("core: ready index holds %d entries, candidate set %d", len(q.readyOrd), len(q.readySlots))
+	if n := len(q.readyOrd) + len(q.parked); n != len(q.readySlots) {
+		return fmt.Errorf("core: ready index holds %d entries and parked set %d, candidate set %d",
+			len(q.readyOrd), len(q.parked), len(q.readySlots))
 	}
-	for i, r := range q.readyOrd {
+	if err := q.checkRefs("ready index", q.readyOrd, false); err != nil {
+		return err
+	}
+	if err := q.checkRefs("parked set", q.parked, true); err != nil {
+		return err
+	}
+	// Every parked slot is a candidate with a key, so a candidate with a key
+	// is parked; walking each list from its head must visit the parked set.
+	listed := 0
+	for _, r := range q.parked {
+		head := q.parkLink[r.Slot]
+		if head.prev >= 0 {
+			continue
+		}
+		if int(head.key) >= len(q.parkHeads) || q.parkHeads[head.key] != r.Slot {
+			return fmt.Errorf("core: parked slot %d starts a list for key %d that does not start there", r.Slot, head.key)
+		}
+		prev := int32(-1)
+		for slot := r.Slot; slot >= 0; slot = q.parkLink[slot].next {
+			if listed++; listed > len(q.parked) {
+				return fmt.Errorf("core: park lists hold more slots than the parked set (%d)", len(q.parked))
+			}
+			if n := q.parkLink[slot]; n.key != head.key || n.prev != prev || q.st[slot].readyPos < 0 {
+				return fmt.Errorf("core: slot %d on park list %d has key %d, prev %d (want %d)", slot, head.key, n.key, n.prev, prev)
+			}
+			prev = slot
+		}
+	}
+	if listed != len(q.parked) {
+		return fmt.Errorf("core: park lists hold %d slots, parked set %d", listed, len(q.parked))
+	}
+	return nil
+}
+
+// checkRefs verifies one half of the candidate partition: every ref is a
+// candidate keyed by its entry's current Seq, parked or not as the half
+// says, in strictly ascending (Seq, Slot) order.
+func (q *Queue) checkRefs(name string, refs []ReadyRef, parked bool) error {
+	for i, r := range refs {
 		if r.Slot < 0 || int(r.Slot) >= q.size || q.st[r.Slot].readyPos < 0 {
-			return fmt.Errorf("core: ready index[%d] = slot %d, not a candidate", i, r.Slot)
+			return fmt.Errorf("core: %s[%d] = slot %d, not a candidate", name, i, r.Slot)
 		}
 		if seq := q.slots[r.Slot].Seq; r.Seq != seq {
-			return fmt.Errorf("core: ready index[%d] keys slot %d by seq %d, entry holds seq %d", i, r.Slot, r.Seq, seq)
+			return fmt.Errorf("core: %s[%d] keys slot %d by seq %d, entry holds seq %d", name, i, r.Slot, r.Seq, seq)
 		}
-		if i > 0 {
-			if p := q.readyOrd[i-1]; p.Seq > r.Seq || (p.Seq == r.Seq && p.Slot >= r.Slot) {
-				return fmt.Errorf("core: ready index out of order at %d: (%d,%d) after (%d,%d)", i, r.Seq, r.Slot, p.Seq, p.Slot)
-			}
+		if key := q.parkLink[r.Slot].key; (key >= 0) != parked {
+			return fmt.Errorf("core: %s[%d] = slot %d with park key %d", name, i, r.Slot, key)
+		}
+		if i > 0 && !refLess(refs[i-1], r) {
+			p := refs[i-1]
+			return fmt.Errorf("core: %s out of order at %d: (%d,%d) after (%d,%d)", name, i, r.Seq, r.Slot, p.Seq, p.Slot)
 		}
 	}
 	return nil
+}
+
+// ------------------------------------------------------------- parking --
+
+// Park moves candidate slot from the age-ordered index to the parked set,
+// on the waiter list of key (the LSQ slot of the store blocking its load).
+// The entry stays a candidate in ReadySlots.
+//
+//reuse:hotpath
+func (q *Queue) Park(slot, key int) {
+	s := int32(slot)
+	q.readyOrd = removeRef(q.readyOrd, s)
+	q.parked = insertRef(q.parked, ReadyRef{Seq: q.slots[s].Seq, Slot: s})
+	head := q.parkHeads[key]
+	q.parkLink[s] = parkNode{key: int32(key), next: head, prev: -1}
+	if head >= 0 {
+		q.parkLink[head].prev = s
+	}
+	q.parkHeads[key] = s
+}
+
+// Unpark returns every slot parked on key to the age-ordered index.
+//
+//reuse:hotpath
+func (q *Queue) Unpark(key int) {
+	slot := q.parkHeads[key]
+	q.parkHeads[key] = -1
+	for slot >= 0 {
+		next := q.parkLink[slot].next
+		q.parkLink[slot] = parkNode{key: -1, next: -1, prev: -1}
+		q.parked = removeRef(q.parked, slot)
+		q.insertReadyOrd(slot)
+		slot = next
+	}
+}
+
+// Parked returns the parked candidates oldest first. The slice is the live
+// set; callers must not retain or mutate it.
+func (q *Queue) Parked() []ReadyRef { return q.parked }
+
+// ParkKey returns the key slot is parked on, or -1.
+func (q *Queue) ParkKey(slot int) int { return int(q.parkLink[slot].key) }
+
+// ParkedBefore returns the number of parked candidates with Seq < seq.
+//
+//reuse:hotpath
+func (q *Queue) ParkedBefore(seq uint64) int {
+	lo, hi := 0, len(q.parked)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if q.parked[mid].Seq < seq {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// unpark takes a single parked slot off its key's list and out of the
+// parked set.
+func (q *Queue) unpark(slot int32) {
+	n := q.parkLink[slot]
+	if n.prev >= 0 {
+		q.parkLink[n.prev].next = n.next
+	} else {
+		q.parkHeads[n.key] = n.next
+	}
+	if n.next >= 0 {
+		q.parkLink[n.next].prev = n.prev
+	}
+	q.parkLink[slot] = parkNode{key: -1, next: -1, prev: -1}
+	q.parked = removeRef(q.parked, slot)
+}
+
+func refLess(a, b ReadyRef) bool {
+	return a.Seq < b.Seq || (a.Seq == b.Seq && a.Slot < b.Slot)
+}
+
+// insertRef places r in the (Seq, Slot)-sorted refs by one insertion step
+// from the young end, reusing refs' capacity.
+func insertRef(refs []ReadyRef, r ReadyRef) []ReadyRef {
+	refs = append(refs, r)
+	i := len(refs) - 1
+	for ; i > 0 && refLess(r, refs[i-1]); i-- {
+		refs[i] = refs[i-1]
+	}
+	refs[i] = r
+	return refs
+}
+
+// removeRef deletes slot from refs, scanning from the old end: select
+// issues and parks oldest first.
+func removeRef(refs []ReadyRef, slot int32) []ReadyRef {
+	i := 0
+	for i < len(refs) && refs[i].Slot != slot {
+		i++
+	}
+	if i == len(refs) {
+		panic("core: ready index out of sync with the candidate set")
+	}
+	copy(refs[i:], refs[i+1:])
+	return refs[:len(refs)-1]
 }
 
 func (q *Queue) waitHeads(kind isa.RegKind) *[]int32 {
@@ -490,18 +673,10 @@ func (q *Queue) addReady(slot int32) {
 	q.insertReadyOrd(slot)
 }
 
-// insertReadyOrd places slot in readyOrd by one insertion step from the
-// young end: new candidates are mostly the youngest (dispatch) or near it
-// (wakeup of recent dependents).
+// insertReadyOrd places slot in readyOrd: new candidates are mostly the
+// youngest (dispatch) or near it (wakeup of recent dependents).
 func (q *Queue) insertReadyOrd(slot int32) {
-	r := ReadyRef{Seq: q.slots[slot].Seq, Slot: slot}
-	q.readyOrd = append(q.readyOrd, r)
-	ord := q.readyOrd
-	i := len(ord) - 1
-	for ; i > 0 && (ord[i-1].Seq > r.Seq || (ord[i-1].Seq == r.Seq && ord[i-1].Slot > slot)); i-- {
-		ord[i] = ord[i-1]
-	}
-	ord[i] = r
+	q.readyOrd = insertRef(q.readyOrd, ReadyRef{Seq: q.slots[slot].Seq, Slot: slot})
 }
 
 func (q *Queue) removeReady(slot int32) {
@@ -515,18 +690,11 @@ func (q *Queue) removeReady(slot int32) {
 	q.st[moved].readyPos = pos
 	q.readySlots = q.readySlots[:last]
 	q.st[slot].readyPos = -1
-
-	// Scan from the old end: select issues oldest first.
-	ord := q.readyOrd
-	i := 0
-	for i < len(ord) && ord[i].Slot != slot {
-		i++
+	if q.parkLink[slot].key >= 0 {
+		q.unpark(slot)
+	} else {
+		q.readyOrd = removeRef(q.readyOrd, slot)
 	}
-	if i == len(ord) {
-		panic("core: ready index out of sync with the candidate set")
-	}
-	copy(ord[i:], ord[i+1:])
-	q.readyOrd = ord[:len(ord)-1]
 }
 
 // --------------------------------------------------- pending-store index --

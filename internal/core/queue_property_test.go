@@ -117,12 +117,25 @@ func (e *refEntry) isPendingStore() bool {
 
 // lockstep pairs the two implementations and cross-checks them after every
 // operation. Positions index the reference slice; the equivalent slot in the
-// real queue is found by walking program order.
+// real queue is found by walking program order. Parking has no counterpart
+// in the collapsing reference: parked models it on the side, as the key each
+// parked candidate's seq waits on.
 type lockstep struct {
-	t   *testing.T
-	q   *Queue
-	ref *refQueue
-	seq uint64
+	t      *testing.T
+	q      *Queue
+	ref    *refQueue
+	seq    uint64
+	parked map[uint64]int
+}
+
+// parkKeys is the key space of the parking ops (an LSQ capacity), small
+// so that keys collect several parked slots.
+const parkKeys = 3
+
+func newLockstep(t *testing.T, size int) *lockstep {
+	q := NewQueue(size)
+	q.ParkKeys(parkKeys)
+	return &lockstep{t: t, q: q, ref: newRefQueue(size), parked: map[uint64]int{}}
 }
 
 func (l *lockstep) slotAt(pos int) int {
@@ -208,7 +221,7 @@ func (l *lockstep) check() {
 			t.Fatalf("ready set holds seq %d which reference says is not ready", q.Entry(int(slot)).Seq)
 		}
 	}
-	l.checkReadyIndex()
+	l.checkReadyIndex(refReady)
 	// Pending stores, in program order.
 	var refStores []uint64
 	for i := range ref.entries {
@@ -231,37 +244,93 @@ func (l *lockstep) check() {
 	}
 }
 
-// checkReadyIndex requires the age-ordered select index to equal the
-// candidate set sorted by sequence number.
-func (l *lockstep) checkReadyIndex() {
+// checkReadyIndex requires the parked set to hold exactly the modeled
+// parked candidates, each on its key, and the age-ordered select index the
+// rest of the candidate set, both sorted by sequence number. Parked
+// candidates the queue dropped (issued, squashed, revoked, re-renamed) leave
+// the model first.
+func (l *lockstep) checkReadyIndex(ready map[uint64]bool) {
 	t, q := l.t, l.q
 	t.Helper()
-	want := make([]ReadyRef, 0, len(q.ReadySlots()))
-	for _, slot := range q.ReadySlots() {
-		want = append(want, ReadyRef{Seq: q.Entry(int(slot)).Seq, Slot: slot})
+	for seq := range l.parked {
+		if !ready[seq] {
+			delete(l.parked, seq)
+		}
 	}
-	slices.SortFunc(want, func(a, b ReadyRef) int { return cmp.Compare(a.Seq, b.Seq) })
-	if got := q.ReadyBySeq(); !slices.Equal(got, want) {
-		t.Fatalf("ready index diverged from ReadySlots sorted by Seq:\n got  %v\n want %v", got, want)
+	var wantOrd, wantParked []ReadyRef
+	for _, slot := range q.ReadySlots() {
+		e := q.Entry(int(slot))
+		r := ReadyRef{Seq: e.Seq, Slot: slot}
+		if key, ok := l.parked[e.Seq]; ok {
+			if got := q.ParkKey(int(slot)); got != key {
+				t.Fatalf("seq %d parked on key %d, want %d", e.Seq, got, key)
+			}
+			wantParked = append(wantParked, r)
+		} else {
+			wantOrd = append(wantOrd, r)
+		}
+	}
+	bySeq := func(a, b ReadyRef) int { return cmp.Compare(a.Seq, b.Seq) }
+	slices.SortFunc(wantOrd, bySeq)
+	slices.SortFunc(wantParked, bySeq)
+	if got := q.ReadyBySeq(); !slices.Equal(got, wantOrd) {
+		t.Fatalf("ready index diverged from the unparked candidates sorted by Seq:\n got  %v\n want %v", got, wantOrd)
+	}
+	if got := q.Parked(); !slices.Equal(got, wantParked) {
+		t.Fatalf("parked set diverged:\n got  %v\n want %v", got, wantParked)
+	}
+	for i, r := range wantParked {
+		if n := q.ParkedBefore(r.Seq); n != i {
+			t.Fatalf("ParkedBefore(%d) = %d, want %d", r.Seq, n, i)
+		}
+	}
+	if n := q.ParkedBefore(^uint64(0)); n != len(wantParked) {
+		t.Fatalf("ParkedBefore(max) = %d, want %d", n, len(wantParked))
 	}
 	if err := q.CheckReadyIndex(); err != nil {
 		t.Fatal(err)
 	}
 }
 
+// park parks a random unparked candidate on a random key.
+func (l *lockstep) park(rng *rand.Rand) {
+	ord := l.q.ReadyBySeq()
+	if len(ord) == 0 {
+		return
+	}
+	r := ord[rng.Intn(len(ord))]
+	key := rng.Intn(parkKeys)
+	l.q.Park(int(r.Slot), key)
+	l.parked[r.Seq] = key
+}
+
+// unpark wakes a random key.
+func (l *lockstep) unpark(rng *rand.Rand) {
+	key := rng.Intn(parkKeys)
+	l.q.Unpark(key)
+	for seq, k := range l.parked {
+		if k == key {
+			delete(l.parked, seq)
+		}
+	}
+}
+
 // roundTrip carries the queue through ExportState/ImportState, alternately
 // into a fresh queue and over the live one (whose derived caches must be
-// rebuilt from the image, not kept).
+// rebuilt from the image, not kept). The image does not carry the parked
+// set: every candidate comes back unparked.
 func (l *lockstep) roundTrip(fresh bool) {
 	st := l.q.ExportState()
 	dst := l.q
 	if fresh {
 		dst = NewQueue(l.q.Size())
+		dst.ParkKeys(parkKeys)
 	}
 	if err := dst.ImportState(st); err != nil {
 		l.t.Fatal(err)
 	}
 	l.q = dst
+	clear(l.parked)
 }
 
 func (l *lockstep) randomEntry(rng *rand.Rand) Entry {
@@ -302,9 +371,9 @@ func TestQueueMatchesCollapsingReference(t *testing.T) {
 	for seed := int64(0); seed < 25; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		size := 4 + rng.Intn(29)
-		l := &lockstep{t: t, q: NewQueue(size), ref: newRefQueue(size)}
+		l := newLockstep(t, size)
 		for step := 0; step < 600; step++ {
-			switch rng.Intn(12) {
+			switch rng.Intn(15) {
 			case 0, 1, 2, 3, 4: // dispatch
 				e := l.randomEntry(rng)
 				_, ok := l.q.Dispatch(e)
@@ -358,6 +427,10 @@ func TestQueueMatchesCollapsingReference(t *testing.T) {
 				phys := rng.Intn(16)
 				l.q.Wake(kind, phys)
 				l.ref.Wake(kind, phys)
+			case 12, 13: // park a candidate on a blocking store
+				l.park(rng)
+			case 14: // that store changes: wake its parked loads
+				l.unpark(rng)
 			}
 			l.check()
 			if step%7 == 6 {
@@ -372,7 +445,7 @@ func TestQueueMatchesCollapsingReference(t *testing.T) {
 // counterpart in the collapsing reference beyond clearing pending state.
 func TestQueueStoreResolutionLockstep(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
-	l := &lockstep{t: t, q: NewQueue(16), ref: newRefQueue(16)}
+	l := newLockstep(t, 16)
 	for step := 0; step < 300; step++ {
 		if rng.Intn(2) == 0 && l.ref.Free() > 0 {
 			e := l.randomEntry(rng)

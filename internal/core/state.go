@@ -130,6 +130,13 @@ func (q *Queue) ImportState(st QueueState) error {
 	for _, slot := range q.readySlots {
 		q.insertReadyOrd(slot)
 	}
+	q.parked = q.parked[:0]
+	for i := range q.parkHeads {
+		q.parkHeads[i] = -1
+	}
+	for i := range q.parkLink {
+		q.parkLink[i] = parkNode{key: -1, next: -1, prev: -1}
+	}
 	copy(q.wNext, st.WNext)
 	copy(q.wPrev, st.WPrev)
 	copy(q.wReg, st.WReg)

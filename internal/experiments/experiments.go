@@ -107,6 +107,11 @@ type Suite struct {
 	// correlated with ledger records. Calls are serialized; cached specs
 	// report instantly. cmd/reusebench uses it for live sweep progress.
 	Progress func(done, total int, sp Spec, r RunResult)
+	// CellDone, when non-nil, is called after each cell the suite
+	// simulates (not for cached results) with the host wall time of the
+	// simulation itself. Prewarm's workers may call it concurrently.
+	// cmd/reusebench uses it for per-cell ns/cycle.
+	CellDone func(sp Spec, r RunResult, sim time.Duration)
 	// FastForward opts every run into the analytic fast-forward engine
 	// (internal/ffwd). Results are byte-identical either way — the engine
 	// only skips provably periodic spans — so this is purely a wall-clock
@@ -347,6 +352,7 @@ func (s *Suite) Run(sp Spec) (RunResult, error) {
 		}
 		return err
 	}
+	simStart := time.Now()
 	runErr := attempt(m, cfg, 1)
 	retried := false
 	if runErr != nil {
@@ -370,6 +376,7 @@ func (s *Suite) Run(sp Spec) (RunResult, error) {
 	if runErr == nil {
 		postMortem = ""
 	}
+	sim := time.Since(simStart)
 	r := RunResult{
 		Kernel:      sp.Kernel,
 		IQSize:      sp.IQSize,
@@ -404,6 +411,9 @@ func (s *Suite) Run(sp Spec) (RunResult, error) {
 			return RunResult{}, err
 		}
 		r.RunID = rec.ID
+	}
+	if s.CellDone != nil {
+		s.CellDone(sp, r, sim)
 	}
 	// The result holds only values, so the machine's scratch buffers can go
 	// back to the pool for the next sweep point.

@@ -5,7 +5,9 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"reuseiq/internal/core"
 	"reuseiq/internal/flightrec"
@@ -210,6 +212,8 @@ func TestPrewarmJoinsErrors(t *testing.T) {
 
 // TestPrewarmProgress requires the Progress callback to fire once per spec
 // with a monotonically increasing done count reaching the total.
+// TestPrewarmProgress also covers CellDone, which Prewarm's workers call
+// concurrently once per simulated cell and never for a cached one.
 func TestPrewarmProgress(t *testing.T) {
 	s := NewSuite()
 	s.Parallelism = 4
@@ -222,13 +226,30 @@ func TestPrewarmProgress(t *testing.T) {
 		calls = append(calls, done)
 		kernels = append(kernels, sp.Kernel)
 	}
-	err := s.Prewarm([]Spec{
+	var mu sync.Mutex
+	simulated := 0
+	s.CellDone = func(sp Spec, r RunResult, sim time.Duration) {
+		mu.Lock()
+		defer mu.Unlock()
+		simulated++
+		if sim <= 0 || r.Cycles == 0 {
+			t.Errorf("%s: CellDone with sim %v, %d cycles", specLabel(sp), sim, r.Cycles)
+		}
+	}
+	specs := []Spec{
 		{Kernel: "aps", IQSize: 32, NBLTSize: -1},
 		{Kernel: "aps", IQSize: 32, Reuse: true, NBLTSize: -1},
 		{Kernel: "aps", IQSize: 64, Reuse: true, NBLTSize: -1},
-	})
-	if err != nil {
+	}
+	if err := s.Prewarm(specs); err != nil {
 		t.Fatal(err)
+	}
+	s.Progress = nil
+	if err := s.Prewarm(specs); err != nil {
+		t.Fatal(err)
+	}
+	if simulated != 3 {
+		t.Errorf("CellDone fired %d times over a sweep and its cached repeat, want 3", simulated)
 	}
 	if len(calls) != 3 {
 		t.Fatalf("Progress fired %d times, want 3", len(calls))

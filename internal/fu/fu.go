@@ -56,6 +56,22 @@ type OpTiming struct {
 // Timing returns the execution timing of op. Memory-op latency here covers
 // address generation only; cache latency is added by the pipeline.
 func Timing(op isa.Op) OpTiming {
+	if int(op) >= len(timings) {
+		op = isa.OpInvalid
+	}
+	return timings[op]
+}
+
+// timings is classTiming tabulated per op: Timing runs on every issue
+// attempt.
+var timings = func() (t [isa.NumOps]OpTiming) {
+	for op := range t {
+		t[op] = classTiming(isa.Op(op))
+	}
+	return t
+}()
+
+func classTiming(op isa.Op) OpTiming {
 	switch op.Info().Class {
 	case isa.ClassIntALU, isa.ClassBranch, isa.ClassJump, isa.ClassCall, isa.ClassReturn,
 		isa.ClassNop, isa.ClassHalt:
@@ -117,8 +133,12 @@ func (p *Pool) TryIssue(op isa.Op, now uint64) (int, bool) {
 // Available reports whether a unit of op's kind is free at cycle now,
 // without booking it.
 func (p *Pool) Available(op isa.Op, now uint64) bool {
-	t := Timing(op)
-	for _, free := range p.nextFree[t.Kind] {
+	return p.KindAvailable(Timing(op).Kind, now)
+}
+
+// KindAvailable reports whether a unit of kind k is free at cycle now.
+func (p *Pool) KindAvailable(k Kind, now uint64) bool {
+	for _, free := range p.nextFree[k] {
 		if free <= now {
 			return true
 		}

@@ -33,6 +33,20 @@ func TestTimingTable(t *testing.T) {
 	}
 }
 
+// TestTimingLookupMatchesClassSwitch requires the per-op table to agree
+// with the class switch it is built from for every op, and an out-of-range
+// op to time like OpInvalid.
+func TestTimingLookupMatchesClassSwitch(t *testing.T) {
+	for op := isa.Op(0); int(op) < isa.NumOps; op++ {
+		if got, want := Timing(op), classTiming(op); got != want {
+			t.Errorf("Timing(%v) = %+v, class switch %+v", op, got, want)
+		}
+	}
+	if got, want := Timing(isa.Op(isa.NumOps)), Timing(isa.OpInvalid); got != want {
+		t.Errorf("out-of-range op: %+v, want OpInvalid's %+v", got, want)
+	}
+}
+
 func TestPipelinedThroughput(t *testing.T) {
 	p := NewPool(Config{NumIntALU: 1, NumIntMul: 1, NumFPALU: 1, NumFPMul: 1, NumMemPort: 1})
 	// One ALU accepts one op per cycle.

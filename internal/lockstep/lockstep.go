@@ -221,8 +221,15 @@ func (k *Checker) Check() error {
 	}
 
 	// Select index: the age-ordered candidate index the issue stage walks
-	// must hold exactly the ready set, keyed by current sequence numbers.
+	// and the parked set must together hold exactly the ready set, keyed
+	// by current sequence numbers.
 	if err := m.IQ.CheckReadyIndex(); err != nil {
+		return k.violateHead("%v", err)
+	}
+
+	// Parked loads: each must still be blocked by the store it waits on,
+	// or a store changed without waking it and its retries go uncounted.
+	if err := m.CheckParked(); err != nil {
 		return k.violateHead("%v", err)
 	}
 

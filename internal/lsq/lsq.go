@@ -14,6 +14,13 @@
 // it, which makes the check amortised O(1). The forwarding search starts at
 // the load's own slot and walks back over older entries only. Ring indices
 // wrap by compare instead of a per-step modulo, so any capacity works.
+//
+// The search names the store that decided it. A load told to wait can only
+// get a different answer once that store changes — its address resolves,
+// its data becomes ready, or it leaves the queue at commit — so the issue
+// stage parks the load on that slot instead of retrying it every cycle, and
+// charges the skipped retries through ChargeSearches so Searches still
+// counts every search the modeled hardware performs.
 package lsq
 
 // Entry is one in-flight memory operation.
@@ -81,6 +88,9 @@ func (q *LSQ) Alloc(e Entry) (int, bool) {
 
 // Get returns the entry in slot.
 func (q *LSQ) Get(slot int) *Entry { return &q.ring[slot] }
+
+// HeadSlot returns the slot of the oldest entry (meaningful when Len > 0).
+func (q *LSQ) HeadSlot() int { return q.head }
 
 // Head returns the oldest entry, or nil.
 func (q *LSQ) Head() *Entry {
@@ -163,11 +173,12 @@ const (
 )
 
 // SearchForLoad performs the associative search of the load in slot against
-// the stores older than it. On Forwarded, dataI/dataF carry the store's
-// value.
+// the stores older than it. It returns the outcome and the slot of the store
+// that decided it: on Forwarded the store whose data the load takes (read it
+// with Get), on MustWait the store the load waits for, and -1 on FromMemory.
 //
 //reuse:hotpath
-func (q *LSQ) SearchForLoad(slot int, addr uint32, size uint8) (ForwardResult, int32, float64) {
+func (q *LSQ) SearchForLoad(slot int, addr uint32, size uint8) (ForwardResult, int) {
 	q.Searches++
 	// Scan from the youngest older entry back to the head; the first
 	// overlap decides.
@@ -185,19 +196,45 @@ func (q *LSQ) SearchForLoad(slot int, addr uint32, size uint8) (ForwardResult, i
 			continue
 		}
 		if !e.AddrReady {
-			return MustWait, 0, 0
+			return MustWait, i
 		}
 		if !overlaps(e.Addr, uint32(e.Size), addr, uint32(size)) {
 			continue
 		}
 		if e.Addr == addr && e.Size == size && e.DataReady {
 			q.Forwards++
-			return Forwarded, e.DataI, e.DataF
+			return Forwarded, i
 		}
-		return MustWait, 0, 0
+		return MustWait, i
 	}
-	return FromMemory, 0, 0
+	return FromMemory, -1
 }
+
+// Blocks reports, without counting a search, whether the store in slot
+// makes a load of size bytes at addr wait: its address is unknown, or it
+// overlaps the load and cannot forward to it. For invariant checkers.
+func (q *LSQ) Blocks(slot int, addr uint32, size uint8) bool {
+	e := &q.ring[slot]
+	if !e.AddrReady {
+		return true
+	}
+	return overlaps(e.Addr, uint32(e.Size), addr, uint32(size)) &&
+		!(e.Addr == addr && e.Size == size && e.DataReady)
+}
+
+// Live reports whether slot holds an entry currently in the queue.
+func (q *LSQ) Live(slot int) bool {
+	off := slot - q.head
+	if off < 0 {
+		off += len(q.ring)
+	}
+	return slot >= 0 && slot < len(q.ring) && off < q.count
+}
+
+// ChargeSearches counts n load searches the issue stage skipped because
+// their outcome was known: each was a retry of a load parked on a store that
+// has not changed, which the modeled hardware would still have performed.
+func (q *LSQ) ChargeSearches(n uint64) { q.Searches += n }
 
 func overlaps(a1, s1, a2, s2 uint32) bool {
 	return a1 < a2+s2 && a2 < a1+s1

@@ -45,11 +45,49 @@ func TestOlderStoreAddrsKnown(t *testing.T) {
 	}
 }
 
+// searchData runs SearchForLoad and reads a forwarded value from the store
+// it names.
+func searchData(q *LSQ, slot int, addr uint32, size uint8) (ForwardResult, int32, float64) {
+	res, st := q.SearchForLoad(slot, addr, size)
+	if res != Forwarded {
+		return res, 0, 0
+	}
+	e := q.Get(st)
+	return res, e.DataI, e.DataF
+}
+
+func TestSearchNamesDecidingStore(t *testing.T) {
+	q := New(8)
+	q.Alloc(store(1, 0x100, 4, 1, true))
+	byteStore, _ := q.Alloc(store(2, 0x104, 1, 2, true))
+	q.Alloc(store(3, 0x200, 4, 3, true))
+	ls, _ := q.Alloc(load(4, 4))
+	if res, st := q.SearchForLoad(ls, 0x100, 4); res != Forwarded || st != 0 {
+		t.Errorf("exact match: (%v, %d), want (Forwarded, 0)", res, st)
+	}
+	if res, st := q.SearchForLoad(ls, 0x104, 4); res != MustWait || st != byteStore {
+		t.Errorf("size mismatch: (%v, %d), want (MustWait, %d)", res, st, byteStore)
+	}
+	if !q.Blocks(byteStore, 0x104, 4) || q.Blocks(byteStore, 0x104, 1) || q.Blocks(0, 0x100, 4) {
+		t.Error("Blocks disagrees with the search")
+	}
+	if res, st := q.SearchForLoad(ls, 0x300, 4); res != FromMemory || st != -1 {
+		t.Errorf("no overlap: (%v, %d), want (FromMemory, -1)", res, st)
+	}
+	if q.Searches != 3 || q.Forwards != 1 {
+		t.Errorf("searches %d forwards %d, want 3 and 1 (Blocks must not count)", q.Searches, q.Forwards)
+	}
+	q.PopHead()
+	if q.Live(0) || !q.Live(byteStore) || !q.Live(ls) || q.Live(ls+1) {
+		t.Error("Live does not match the occupied ring range")
+	}
+}
+
 func TestForwardExactMatch(t *testing.T) {
 	q := New(8)
 	q.Alloc(store(1, 0x100, 4, 42, true))
 	ls, _ := q.Alloc(load(2, 4))
-	res, dI, _ := q.SearchForLoad(ls, 0x100, 4)
+	res, dI, _ := searchData(q, ls, 0x100, 4)
 	if res != Forwarded || dI != 42 {
 		t.Fatalf("res=%v dI=%d", res, dI)
 	}
@@ -63,7 +101,7 @@ func TestForwardYoungestOlderWins(t *testing.T) {
 	q.Alloc(store(1, 0x100, 4, 1, true))
 	q.Alloc(store(2, 0x100, 4, 2, true))
 	ls, _ := q.Alloc(load(3, 4))
-	res, dI, _ := q.SearchForLoad(ls, 0x100, 4)
+	res, dI, _ := searchData(q, ls, 0x100, 4)
 	if res != Forwarded || dI != 2 {
 		t.Fatalf("got %v %d, want the younger store's value 2", res, dI)
 	}
@@ -73,7 +111,7 @@ func TestForwardIgnoresYoungerStores(t *testing.T) {
 	q := New(8)
 	ls, _ := q.Alloc(load(1, 4))
 	q.Alloc(store(2, 0x100, 4, 9, true))
-	res, _, _ := q.SearchForLoad(ls, 0x100, 4)
+	res, _, _ := searchData(q, ls, 0x100, 4)
 	if res != FromMemory {
 		t.Fatalf("res = %v, want FromMemory", res)
 	}
@@ -83,7 +121,7 @@ func TestForwardNoOverlapGoesToMemory(t *testing.T) {
 	q := New(8)
 	q.Alloc(store(1, 0x100, 4, 9, true))
 	ls, _ := q.Alloc(load(2, 4))
-	res, _, _ := q.SearchForLoad(ls, 0x104, 4)
+	res, _, _ := searchData(q, ls, 0x104, 4)
 	if res != FromMemory {
 		t.Fatalf("res = %v", res)
 	}
@@ -93,12 +131,12 @@ func TestPartialOverlapMustWait(t *testing.T) {
 	q := New(8)
 	q.Alloc(store(1, 0x100, 1, 0xff, true)) // byte store
 	ls, _ := q.Alloc(load(2, 4))
-	res, _, _ := q.SearchForLoad(ls, 0x100, 4) // word load overlapping the byte
+	res, _, _ := searchData(q, ls, 0x100, 4) // word load overlapping the byte
 	if res != MustWait {
 		t.Fatalf("res = %v, want MustWait on size mismatch", res)
 	}
 	// Byte load at a different offset within the same word: no overlap.
-	res, _, _ = q.SearchForLoad(ls, 0x101, 1)
+	res, _, _ = searchData(q, ls, 0x101, 1)
 	if res != FromMemory {
 		t.Fatalf("res = %v, want FromMemory for disjoint byte", res)
 	}
@@ -108,7 +146,7 @@ func TestUnresolvedOlderStoreMustWait(t *testing.T) {
 	q := New(8)
 	q.Alloc(store(1, 0, 4, 0, false))
 	ls, _ := q.Alloc(load(2, 4))
-	res, _, _ := q.SearchForLoad(ls, 0x100, 4)
+	res, _, _ := searchData(q, ls, 0x100, 4)
 	if res != MustWait {
 		t.Fatalf("res = %v", res)
 	}
@@ -120,7 +158,7 @@ func TestFPForwarding(t *testing.T) {
 		AddrReady: true, DataReady: true, DataF: 2.5}
 	q.Alloc(s)
 	ls, _ := q.Alloc(Entry{Seq: 2, Size: 8, IsFP: true})
-	res, _, dF := q.SearchForLoad(ls, 0x200, 8)
+	res, _, dF := searchData(q, ls, 0x200, 8)
 	if res != Forwarded || dF != 2.5 {
 		t.Fatalf("res=%v dF=%v", res, dF)
 	}
@@ -227,26 +265,29 @@ func (r *refLSQ) olderStoreAddrsKnown(seq uint64) bool {
 	return true
 }
 
-func (r *refLSQ) searchForLoad(seq uint64, addr uint32, size uint8) (ForwardResult, int32, float64) {
+// searchForLoad returns the outcome, the deciding store's slot (-1 when
+// none) and, on Forwarded, its data.
+func (r *refLSQ) searchForLoad(seq uint64, addr uint32, size uint8) (ForwardResult, int, int32, float64) {
 	r.searches++
 	for i := r.count - 1; i >= 0; i-- {
-		e := &r.ring[(r.head+i)%len(r.ring)]
+		slot := (r.head + i) % len(r.ring)
+		e := &r.ring[slot]
 		if e.Seq >= seq || !e.IsStore {
 			continue
 		}
 		if !e.AddrReady {
-			return MustWait, 0, 0
+			return MustWait, slot, 0, 0
 		}
 		if !overlaps(e.Addr, uint32(e.Size), addr, uint32(size)) {
 			continue
 		}
 		if e.Addr == addr && e.Size == size && e.DataReady {
 			r.forwards++
-			return Forwarded, e.DataI, e.DataF
+			return Forwarded, slot, e.DataI, e.DataF
 		}
-		return MustWait, 0, 0
+		return MustWait, slot, 0, 0
 	}
-	return FromMemory, 0, 0
+	return FromMemory, -1, 0, 0
 }
 
 // TestDifferentialAgainstLinearScan drives the queue and the linear-scan
@@ -310,11 +351,20 @@ func TestDifferentialAgainstLinearScan(t *testing.T) {
 						continue
 					}
 					a, sz := addrs[rng.Intn(len(addrs))], sizes[rng.Intn(len(sizes))]
-					r1, i1, f1 := q.SearchForLoad(slot, a, sz)
-					r2, i2, f2 := ref.searchForLoad(seq, a, sz)
-					if r1 != r2 || i1 != i2 || f1 != f2 {
-						t.Fatalf("cap %d seed %d step %d: SearchForLoad(slot %d) = (%v,%d,%v), ref (%v,%d,%v)",
-							capacity, seed, step, slot, r1, i1, f1, r2, i2, f2)
+					r1, s1 := q.SearchForLoad(slot, a, sz)
+					r2, s2, i2, f2 := ref.searchForLoad(seq, a, sz)
+					var i1 int32
+					var f1 float64
+					if r1 == Forwarded {
+						i1, f1 = q.Get(s1).DataI, q.Get(s1).DataF
+					}
+					if r1 != r2 || s1 != s2 || i1 != i2 || f1 != f2 {
+						t.Fatalf("cap %d seed %d step %d: SearchForLoad(slot %d) = (%v,slot %d,%d,%v), ref (%v,slot %d,%d,%v)",
+							capacity, seed, step, slot, r1, s1, i1, f1, r2, s2, i2, f2)
+					}
+					if r1 == MustWait && (!q.Live(s1) || !q.Blocks(s1, a, sz)) {
+						t.Fatalf("cap %d seed %d step %d: search waits on slot %d, but Live=%v Blocks=%v",
+							capacity, seed, step, s1, q.Live(s1), q.Blocks(s1, a, sz))
 					}
 				case op == 8: // commit, or squash a younger suffix
 					if q.Len() == 0 {

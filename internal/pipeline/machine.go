@@ -133,9 +133,7 @@ type Machine struct {
 	decodeLat       []fetched
 	execQ           []execEntry
 	//reuse:transient writeback scratch; never live across a cycle boundary
-	done []execEntry // writeback scratch (completions this cycle)
-	//reuse:transient issue scratch; never live across a cycle boundary
-	cands      []core.ReadyRef // issue scratch (copy of the age-ordered ready index)
+	done       []execEntry // writeback scratch (completions this cycle)
 	halted     bool
 	lastCommit uint64
 
@@ -276,6 +274,7 @@ func New(cfg Config, p *prog.Program) *Machine {
 		FUs:  fu.NewPool(cfg.FU),
 	}
 	m.IQ = core.NewQueue(cfg.IQSize)
+	m.IQ.ParkKeys(cfg.LSQSize)
 	m.Ctl = core.NewController(cfg.Reuse, m.IQ)
 	m.Chaos = chaos.New(cfg.Chaos)
 	if cfg.LoopCache != nil {
@@ -292,14 +291,12 @@ func New(cfg Config, p *prog.Program) *Machine {
 		m.decodeLat = w.decodeLat[:0]
 		m.execQ = w.execQ[:0]
 		m.done = w.done[:0]
-		m.cands = w.cands[:0]
 		m.commitLog = w.commitLog[:0]
 	} else {
 		m.fetchQ = make([]fetched, 0, cfg.FetchQueueSize)
 		m.decodeLat = make([]fetched, 0, cfg.DecodeWidth)
 		m.execQ = make([]execEntry, 0, cfg.IQSize)
 		m.done = make([]execEntry, 0, cfg.IQSize)
-		m.cands = make([]core.ReadyRef, 0, cfg.IQSize)
 	}
 	return m
 }
@@ -310,7 +307,6 @@ type workspace struct {
 	decodeLat []fetched
 	execQ     []execEntry
 	done      []execEntry
-	cands     []core.ReadyRef
 	commitLog []uint32
 }
 
@@ -326,11 +322,10 @@ func (m *Machine) Release() {
 		decodeLat: m.decodeLat,
 		execQ:     m.execQ,
 		done:      m.done,
-		cands:     m.cands,
 		commitLog: m.commitLog,
 	})
 	m.fetchQ, m.decodeLat = nil, nil
-	m.execQ, m.done, m.cands = nil, nil, nil
+	m.execQ, m.done = nil, nil
 	m.commitLog = nil
 }
 

@@ -149,11 +149,10 @@ loop:	sw   $r2, 0($r5)
 	}
 }
 
-func TestLoopCarriedDependenceThroughMemory(t *testing.T) {
-	// Each iteration loads what the previous iteration stored: exercises
-	// store-to-load forwarding and conservative disambiguation inside the
-	// reused loop body.
-	m := differential(t, `
+// loopCarriedSrc loads, in each iteration, what the previous iteration
+// stored: store-to-load forwarding and conservative disambiguation inside
+// the reused loop body.
+const loopCarriedSrc = `
 	.data
 cell:	.space 4
 	.text
@@ -165,7 +164,10 @@ loop:	lw   $r2, 0($r5)
 	addi $r3, $r3, -1
 	bne  $r3, $zero, loop
 	halt
-	`)
+	`
+
+func TestLoopCarriedDependenceThroughMemory(t *testing.T) {
+	m := differential(t, loopCarriedSrc)
 	if got := m.Mem.ReadI32(m.Prog.Symbols["cell"]); got != 1000 {
 		t.Errorf("cell = %d", got)
 	}
@@ -484,8 +486,8 @@ func TestWatchdogFires(t *testing.T) {
 	}
 }
 
-func TestStoreByteAndLoadVariants(t *testing.T) {
-	m := differential(t, `
+// storeByteSrc mixes sub-word stores and loads of every width.
+const storeByteSrc = `
 	.data
 buf:	.space 16
 	.text
@@ -498,7 +500,10 @@ buf:	.space 16
 	lbu  $r7, 0($r5)
 	lw   $r8, 4($r5)
 	halt
-	`)
+	`
+
+func TestStoreByteAndLoadVariants(t *testing.T) {
+	m := differential(t, storeByteSrc)
 	if m.ArchInt(6) != -1 || m.ArchInt(7) != 255 || m.ArchInt(8) != 300 {
 		t.Errorf("lb=%d lbu=%d lw=%d", m.ArchInt(6), m.ArchInt(7), m.ArchInt(8))
 	}

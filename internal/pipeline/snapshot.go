@@ -8,7 +8,9 @@
 // Not part of the image, by design:
 //   - hooks (OnCommit, OnCycle, OnSample, Trace, Rec, Tel, DebugIssue) — the
 //     restoring process re-attaches its own observers;
-//   - the per-cycle scratch buffers (done, cands) — empty between cycles;
+//   - the writeback scratch buffer (done) — empty between cycles;
+//   - the issue queue's parked loads — a derived cache the import empties;
+//     the first restored cycle searches for real, which counts the same;
 //   - the commit log — observational, unbounded, and reconstructible by
 //     re-running with LogCommits from the start.
 package pipeline

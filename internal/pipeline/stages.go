@@ -6,6 +6,7 @@ import (
 	"slices"
 
 	"reuseiq/internal/core"
+	"reuseiq/internal/fu"
 	"reuseiq/internal/isa"
 	"reuseiq/internal/lsq"
 	"reuseiq/internal/rob"
@@ -113,7 +114,11 @@ func (m *Machine) commit() {
 // data cache, returning the drained LSQ entry (address and data) for the
 // OnCommit record.
 func (m *Machine) commitStore() lsq.Entry {
+	slot := m.LSQ.HeadSlot()
 	e := m.LSQ.PopHead()
+	// Loads parked on the store search again; commit runs before issue,
+	// so they are ordinary candidates in this cycle's select.
+	m.IQ.Unpark(slot)
 	if !e.IsStore || !e.AddrReady {
 		panic("pipeline: committing store with unresolved LSQ head")
 	}
@@ -250,6 +255,15 @@ func (m *Machine) recover(e *rob.Entry) {
 
 // ----------------------------------------------------------------- issue --
 
+// attempt is the outcome of one select attempt on a candidate.
+type attempt uint8
+
+const (
+	attemptFailed attempt = iota // not issued; the entry stays in select
+	attemptIssued
+	attemptParked // a load blocked by an older store, parked on it
+)
+
 //reuse:hotpath
 func (m *Machine) issue() {
 	// The modeled select logic examines every live entry each cycle; the
@@ -259,22 +273,76 @@ func (m *Machine) issue() {
 
 	m.resolveStoreAddresses()
 
-	// Select ready entries oldest first from the queue's age-ordered
-	// index. Issuing removes entries from that index, so select walks a
-	// copy; slots are stable, so no position compensation is needed.
-	cands := m.cands[:0]
-	cands = append(cands, m.IQ.ReadyBySeq()...)
-	m.cands = cands
-
-	issued := 0
-	for _, c := range cands {
-		if issued >= m.Cfg.IssueWidth {
+	// Select ready entries oldest first, walking the queue's age-ordered
+	// index in place. Issuing or parking the entry at i removes it from
+	// the index; a store issuing at i unparks its waiting loads, which are
+	// younger and so land after i, to be examined in this same walk at
+	// their age position, as they were before they were parked.
+	//
+	// A parked load skips the retries the modeled hardware still makes:
+	// each would read the load's base register and search the LSQ again,
+	// with the same MustWait outcome. A retry happens when the walk
+	// reaches the load's age position with issue width left and a memory
+	// port free. Both only run out as the walk proceeds, so the retried
+	// loads are the parked ones older than the candidate whose issue used
+	// up the width or the last port (stop), and they are charged in one
+	// count. Loads parked during this walk already counted their search.
+	stop := ^uint64(0)
+	if !m.FUs.KindAvailable(fu.MemPort, m.cycle) {
+		stop = 0
+	}
+	issued, parked := 0, 0
+	for i := 0; issued < m.Cfg.IssueWidth; {
+		ord := m.IQ.ReadyBySeq()
+		if i == len(ord) {
 			break
 		}
-		if m.tryIssueEntry(int(c.Slot)) {
+		c := ord[i]
+		switch m.tryIssueEntry(int(c.Slot)) {
+		case attemptIssued:
 			issued++
+			if issued == m.Cfg.IssueWidth || (stop == ^uint64(0) && !m.FUs.KindAvailable(fu.MemPort, m.cycle)) {
+				stop = min(stop, c.Seq)
+			}
+		case attemptParked:
+			parked++
+		default:
+			i++
 		}
 	}
+	if n := uint64(m.IQ.ParkedBefore(stop) - parked); n > 0 {
+		// Every load reads exactly one integer register, its base.
+		m.LSQ.ChargeSearches(n)
+		m.RF.ChargeReads(n)
+	}
+}
+
+// CheckParked verifies, without charging any modeled activity, that every
+// parked load is still blocked by the store it is parked on: the key slot
+// holds a live store older than the load that would make it wait. A store
+// that changed without waking its loads fails it.
+func (m *Machine) CheckParked() error {
+	for _, r := range m.IQ.Parked() {
+		e := m.IQ.Entry(int(r.Slot))
+		if e.Inst.Op.Info().Class != isa.ClassLoad {
+			return fmt.Errorf("parked seq %d is not a load: %s", e.Seq, e.Inst.Disasm(e.PC))
+		}
+		key := m.IQ.ParkKey(int(r.Slot))
+		if !m.LSQ.Live(key) {
+			return fmt.Errorf("parked load seq %d waits on LSQ slot %d, which holds no entry", e.Seq, key)
+		}
+		st := m.LSQ.Get(key)
+		if !st.IsStore || st.Seq >= e.Seq {
+			return fmt.Errorf("parked load seq %d waits on LSQ slot %d holding seq %d (store %v), not an older store",
+				e.Seq, key, st.Seq, st.IsStore)
+		}
+		addr := uint32(m.RF.PeekInt(e.SrcPhys[0]) + e.Inst.Imm) // base register rs + offset
+		if !m.LSQ.Blocks(key, addr, memSize(e.Inst.Op)) {
+			return fmt.Errorf("parked load seq %d (addr 0x%x) is no longer blocked by store seq %d in LSQ slot %d",
+				e.Seq, addr, st.Seq, key)
+		}
+	}
+	return nil
 }
 
 // resolveStoreAddresses performs store address generation separately from
@@ -306,15 +374,17 @@ func (m *Machine) resolveStoreAddresses() {
 		le.Addr = uint32(base + e.Inst.Imm)
 		le.AddrReady = true
 		m.IQ.StoreResolved(slot)
+		m.IQ.Unpark(e.LSQSlot)
 		resolved++
 		return true
 	})
 }
 
-// tryIssueEntry attempts to issue the queue entry in slot. It reports
-// whether the instruction issued (conventional entries are then removed;
-// classified entries stay with their issue state bit set).
-func (m *Machine) tryIssueEntry(slot int) bool {
+// tryIssueEntry attempts to issue the queue entry in slot. Issued
+// conventional entries are removed; classified entries stay with their
+// issue state bit set. A load whose search must wait for an older store is
+// parked on that store.
+func (m *Machine) tryIssueEntry(slot int) attempt {
 	// Slots are stable, so the entry can be read in place (a value copy
 	// would be forced onto the heap by the debug path taking its address).
 	// MarkIssued frees a conventional entry's slot, so everything needed
@@ -325,11 +395,11 @@ func (m *Machine) tryIssueEntry(slot int) bool {
 
 	// Loads: conservative disambiguation before consuming a port.
 	if cls == isa.ClassLoad && !m.LSQ.OlderStoreAddrsKnown(e.Seq) {
-		return false
+		return attemptFailed
 	}
 
 	if !m.FUs.Available(op, m.cycle) {
-		return false
+		return attemptFailed
 	}
 
 	// Read operands from the physical register file.
@@ -358,12 +428,13 @@ func (m *Machine) tryIssueEntry(slot int) bool {
 	var valF float64
 	switch cls {
 	case isa.ClassLoad:
-		res, dI, dF := m.LSQ.SearchForLoad(e.LSQSlot, r.Addr, memSize(op))
+		res, st := m.LSQ.SearchForLoad(e.LSQSlot, r.Addr, memSize(op))
 		if res == lsq.MustWait {
-			return false
+			m.IQ.Park(slot, st)
+			return attemptParked
 		}
 		if _, ok := m.FUs.TryIssue(op, m.cycle); !ok {
-			return false
+			return attemptFailed
 		}
 		le := m.LSQ.Get(e.LSQSlot)
 		le.AddrReady = true
@@ -371,14 +442,15 @@ func (m *Machine) tryIssueEntry(slot int) bool {
 		le.Done = true
 		if res == lsq.Forwarded {
 			lat = 2 // address generation + bypass
-			valI, valF = applyLoadSemantics(op, dI, dF)
+			se := m.LSQ.Get(st)
+			valI, valF = applyLoadSemantics(op, se.DataI, se.DataF)
 		} else {
 			lat = 1 + m.Hier.AccessData(r.Addr, false)
 			valI, valF = m.loadFromMemory(op, r.Addr)
 		}
 	case isa.ClassStore:
 		if _, ok := m.FUs.TryIssue(op, m.cycle); !ok {
-			return false
+			return attemptFailed
 		}
 		le := m.LSQ.Get(e.LSQSlot)
 		le.AddrReady = true
@@ -387,11 +459,12 @@ func (m *Machine) tryIssueEntry(slot int) bool {
 		le.DataI = r.StoreI
 		le.DataF = r.StoreF
 		le.Done = true
+		m.IQ.Unpark(e.LSQSlot)
 		lat = 1
 	default:
 		l, ok := m.FUs.TryIssue(op, m.cycle)
 		if !ok {
-			return false
+			return attemptFailed
 		}
 		lat = l
 		valI, valF = r.I, r.F
@@ -432,7 +505,7 @@ func (m *Machine) tryIssueEntry(slot int) bool {
 		robSlot: robSlot, seq: seq, done: m.cycle + uint64(lat),
 		valI: valI, valF: valF,
 	})
-	return true
+	return attemptIssued
 }
 
 func memSize(op isa.Op) uint8 {

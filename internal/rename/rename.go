@@ -174,6 +174,10 @@ func (r *RegFile) ReadFP(p int) float64 {
 	return r.fpVals[p]
 }
 
+// ChargeReads counts n register reads the pipeline accounted for without
+// performing them (the operand reads of skipped load retries).
+func (r *RegFile) ChargeReads(n uint64) { r.Reads += n }
+
 // WriteInt writes integer physical register p and marks it ready.
 func (r *RegFile) WriteInt(p int, v int32) {
 	r.Writes++

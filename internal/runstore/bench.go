@@ -31,11 +31,15 @@ type BenchThroughput struct {
 	AllocsPerCycle  float64 `json:"allocs_per_cycle"`
 }
 
-// BenchSection is one timed section of a simcore run.
+// BenchSection is one timed section of a simcore run: a report section
+// (figure5), or one simulated cell (aps/iq256), which also carries its
+// simulated cycles and host nanoseconds per cycle.
 type BenchSection struct {
-	Name   string `json:"name"`
-	Wall   string `json:"wall"`
-	WallNS int64  `json:"wall_ns"`
+	Name            string  `json:"name"`
+	Wall            string  `json:"wall"`
+	WallNS          int64   `json:"wall_ns"`
+	SimulatedCycles uint64  `json:"simulated_cycles,omitempty"`
+	NSPerCycle      float64 `json:"ns_per_cycle,omitempty"`
 }
 
 // BenchFfwdSection is one row of the fast-forward comparison: identical work
@@ -77,6 +81,9 @@ func (b *BenchRecord) Validate() error {
 		for i, s := range b.Sections {
 			if s.Name == "" {
 				return fmt.Errorf("simcore section %d has no name", i)
+			}
+			if s.WallNS < 0 || s.NSPerCycle < 0 {
+				return fmt.Errorf("simcore section %q has negative timings", s.Name)
 			}
 		}
 	case BenchFfwd:
@@ -136,8 +143,9 @@ func WriteBenchRecord(path string, b *BenchRecord) error {
 }
 
 // MetricValues flattens the record's payload into named values for diffing:
-// simcore yields the throughput block plus per-section wall times, ffwd
-// yields per-section off/on times and speedups.
+// simcore yields the throughput block plus per-section wall times (and,
+// for cell sections, simulated cycles and ns per cycle), ffwd yields
+// per-section off/on times and speedups.
 func (b *BenchRecord) MetricValues() map[string]float64 {
 	out := map[string]float64{}
 	switch b.Kind {
@@ -150,6 +158,10 @@ func (b *BenchRecord) MetricValues() map[string]float64 {
 		out["allocs_per_cycle"] = t.AllocsPerCycle
 		for _, s := range b.Sections {
 			out["section."+s.Name+".wall_ns"] = float64(s.WallNS)
+			if s.SimulatedCycles > 0 {
+				out["section."+s.Name+".simulated_cycles"] = float64(s.SimulatedCycles)
+				out["section."+s.Name+".ns_per_cycle"] = s.NSPerCycle
+			}
 		}
 	case BenchFfwd:
 		for _, s := range b.Ffwd {

@@ -412,6 +412,10 @@ func TestBenchRecordValidate(t *testing.T) {
 		{"unknown kind", func(b *BenchRecord) { b.Kind = "mystery" }},
 		{"simcore without throughput", func(b *BenchRecord) { b.Throughput = nil }},
 		{"unnamed section", func(b *BenchRecord) { b.Sections[0].Name = "" }},
+		{"negative section wall", func(b *BenchRecord) { b.Sections[0].WallNS = -1 }},
+		{"negative cell ns/cycle", func(b *BenchRecord) {
+			b.Sections[0] = BenchSection{Name: "aps/iq256", WallNS: 1, SimulatedCycles: 1, NSPerCycle: -1}
+		}},
 	}
 	for _, tc := range cases {
 		b := *good
@@ -436,7 +440,8 @@ func TestBenchRecordRoundTripAndDiff(t *testing.T) {
 	a := &BenchRecord{
 		V: BenchSchemaVersion, Kind: BenchSimcore,
 		Throughput: &BenchThroughput{SimulatedCycles: 1000, WallNS: 100, NSPerCycle: 0.1},
-		Sections:   []BenchSection{{Name: "figure5", WallNS: 60}},
+		Sections: []BenchSection{{Name: "figure5", WallNS: 60},
+			{Name: "aps/iq256", WallNS: 40, SimulatedCycles: 400, NSPerCycle: 0.1}},
 	}
 	path := filepath.Join(dir, "a.json")
 	if err := WriteBenchRecord(path, a); err != nil {
@@ -462,6 +467,15 @@ func TestBenchRecordRoundTripAndDiff(t *testing.T) {
 	}
 	if row := byName["ns_per_cycle"]; !row.Changed() || row.B != 0.12 {
 		t.Errorf("ns_per_cycle row wrong: %+v", row)
+	}
+	if row := byName["section.aps/iq256.ns_per_cycle"]; !row.AOK || !row.BOK || row.A != 0.1 {
+		t.Errorf("cell ns_per_cycle row wrong: %+v", row)
+	}
+	if row := byName["section.aps/iq256.simulated_cycles"]; row.A != 400 {
+		t.Errorf("cell simulated_cycles row wrong: %+v", row)
+	}
+	if _, ok := byName["section.figure5.ns_per_cycle"]; ok {
+		t.Error("a report section without cycles yields an ns_per_cycle row")
 	}
 	if _, err := DiffBench(a, &BenchRecord{V: 1, Kind: BenchFfwd, Ffwd: []BenchFfwdSection{{Name: "x"}}}); err == nil {
 		t.Error("cross-kind diff accepted")
